@@ -3,26 +3,15 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/assembler.hpp"
 #include "core/gpu_runner.hpp"
+#include "core/lanes.hpp"
 #include "core/problem.hpp"
+#include "core/retry.hpp"
 #include "obs/metrics.hpp"
 
 namespace oocgemm::core {
 
 namespace {
-
-/// Per-job accumulation across this job's (job x column panel) segments.
-struct JobAccum {
-  std::vector<ChunkPayload> payloads;
-  std::int64_t nnz = 0;
-  std::int64_t flops = 0;  // exact, from the runners' per-chunk tallies
-  int chunks_run = 0;
-  std::int64_t b_uploads = 0;
-  std::int64_t b_hits = 0;
-  double last_finish = 0.0;  // virtual time the job's latest segment drained
-  bool cancelled = false;
-};
 
 StatusOr<BatchedRunResult> BatchedOutOfCoreImpl(
     vgpu::Device& device, const std::vector<BatchJobSpec>& jobs,
@@ -75,13 +64,16 @@ StatusOr<BatchedRunResult> BatchedOutOfCoreImpl(
   ExecutorOptions seg_options = options;
   seg_options.cancel = nullptr;  // batched cancel is segment-granular
 
-  std::vector<JobAccum> acc(n);
+  // Per-job accumulation across the job's (job x column panel) segments:
+  // one lane whose makespan is when its latest segment drained.
+  std::vector<GpuRunOutput> acc(n);
+  std::vector<bool> cancelled(n, false);
   for (int j = 0; j < nc; ++j) {
     for (std::size_t i = 0; i < n; ++i) {
-      if (acc[i].cancelled) continue;
+      if (cancelled[i]) continue;
       if (jobs[i].cancel != nullptr &&
           jobs[i].cancel->load(std::memory_order_relaxed)) {
-        acc[i].cancelled = true;
+        cancelled[i] = true;
         continue;
       }
       const std::vector<int>& order = segments[i][static_cast<std::size_t>(j)];
@@ -98,9 +90,9 @@ StatusOr<BatchedRunResult> BatchedOutOfCoreImpl(
       acc[i].nnz += run->nnz;
       acc[i].flops += run->flops;
       acc[i].chunks_run += run->chunks_run;
-      acc[i].b_uploads += run->b_panel_uploads;
-      acc[i].b_hits += run->b_panel_hits;
-      acc[i].last_finish = run->makespan;
+      acc[i].b_panel_uploads += run->b_panel_uploads;
+      acc[i].b_panel_hits += run->b_panel_hits;
+      acc[i].makespan = run->makespan;
     }
   }
   device.DeviceSynchronize(host);
@@ -112,33 +104,18 @@ StatusOr<BatchedRunResult> BatchedOutOfCoreImpl(
   out.b_panel_hits = workspace.cache.hits(PanelCache::kB);
   out.jobs.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    if (acc[i].cancelled) {
+    if (cancelled[i]) {
       out.jobs[i].status =
           Status::Cancelled("batched job " + std::to_string(i) +
                             " cancelled between segments");
       continue;
     }
     RunResult& rr = out.jobs[i].run;
-    rr.stats.total_seconds = acc[i].last_finish;
-    rr.stats.gpu_seconds = acc[i].last_finish;
-    rr.stats.nnz_out = acc[i].nnz;
-    rr.stats.num_gpu_chunks = acc[i].chunks_run;
-    rr.stats.num_chunks = preps[i].num_chunks();
-    rr.stats.num_row_panels = preps[i].plan.num_row_panels;
-    rr.stats.num_col_panels = nc;
-    // Estimate-seeded plans carry provisional flops; the runners tallied
-    // the exact per-chunk counts as segments executed.
-    rr.stats.flops =
-        preps[i].plan.estimated ? acc[i].flops : preps[i].total_flops;
-    rr.stats.compression_ratio =
-        rr.stats.nnz_out > 0 ? static_cast<double>(rr.stats.flops) /
-                                   static_cast<double>(rr.stats.nnz_out)
-                             : 0.0;
+    // The batch shares one timeline, so members take no trace fields.
+    rr.stats = BuildRunStats(preps[i], std::span(&acc[i], 1), /*cpu=*/nullptr,
+                             /*device=*/nullptr);
     rr.stats.device_peak_bytes = device.peak_bytes();
-    rr.stats.b_panel_uploads = acc[i].b_uploads;
-    rr.stats.b_panel_hits = acc[i].b_hits;
-    rr.c = AssembleChunks(preps[i].row_bounds, preps[i].col_bounds,
-                          std::move(acc[i].payloads));
+    rr.c = TimedAssemble(preps[i], std::move(acc[i].payloads));
   }
   return out;
 }
@@ -162,25 +139,19 @@ StatusOr<BatchedRunResult> BatchedOutOfCore(vgpu::Device& device,
     as.push_back(spec.a);
   }
 
-  // Same pool-overflow retry policy as the single-job executors: replan the
-  // whole batch with a doubled safety factor (chunks shrink together, so the
+  // Same pool-overflow policy as the single-job executors: replan the whole
+  // batch with a doubled safety factor (chunks shrink together, so the
   // shared column split stays common).
-  ExecutorOptions attempt_options = options;
-  const int max_attempts = std::max(1, attempt_options.max_oom_attempts);
-  for (int i = 0;; ++i) {
-    auto r = BatchedOutOfCoreImpl(device, jobs, as, b, attempt_options, pool);
-    if (r.ok() || r.status().code() != StatusCode::kOutOfMemory ||
-        i + 1 == max_attempts) {
-      if (r.ok()) {
-        obs::MetricsRegistry::Default()
-            .GetCounter("oocgemm_core_runs", {{"executor", "batched"}},
-                        "Completed executor runs")
-            .Add(1);
-      }
-      return r;
-    }
-    attempt_options.plan.nnz_safety_factor *= 2.0;
+  auto r = RetryWithReplan(options, [&](const ExecutorOptions& o) {
+    return BatchedOutOfCoreImpl(device, jobs, as, b, o, pool);
+  });
+  if (r.ok()) {
+    obs::MetricsRegistry::Default()
+        .GetCounter("oocgemm_core_runs", {{"executor", "batched"}},
+                    "Completed executor runs")
+        .Add(1);
   }
+  return r;
 }
 
 }  // namespace oocgemm::core

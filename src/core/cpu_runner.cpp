@@ -24,6 +24,17 @@ std::int64_t ExactChunkFlops(const sparse::Csr& a_panel,
 
 }  // namespace
 
+void RecordCpuWork(std::int64_t flops, double seconds) {
+  static obs::Counter& flops_total = obs::MetricsRegistry::Default().GetCounter(
+      "oocgemm_core_cpu_flops", {}, "Flops executed on the CPU path");
+  static obs::DoubleCounter& seconds_total =
+      obs::MetricsRegistry::Default().GetDoubleCounter(
+          "oocgemm_core_cpu_seconds", {},
+          "Modeled busy seconds of the CPU path");
+  flops_total.Add(flops);
+  seconds_total.Add(seconds);
+}
+
 CpuRunOutput RunCpuChunks(const PreparedProblem& prep,
                           const std::vector<int>& order,
                           const ExecutorOptions& options, ThreadPool& pool) {
@@ -36,12 +47,6 @@ CpuRunOutput RunCpuChunks(const PreparedProblem& prep,
       "oocgemm_estimate_chunk_flops_rel_error", {},
       "Relative error |estimated - exact| / exact of per-chunk flop "
       "predictions on estimate-seeded plans");
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  obs::Counter& cpu_flops_counter = reg.GetCounter(
-      "oocgemm_core_cpu_flops", {}, "Flops executed on the CPU path");
-  obs::DoubleCounter& cpu_seconds_counter = reg.GetDoubleCounter(
-      "oocgemm_core_cpu_seconds", {},
-      "Modeled busy seconds of the CPU path");
 
   for (int id : order) {
     if (options.cancel != nullptr &&
@@ -72,10 +77,7 @@ CpuRunOutput RunCpuChunks(const PreparedProblem& prep,
     out.flops += chunk_flops;
     out.nnz += c.nnz();
     ++out.chunks_run;
-    // The (flops, seconds) sample stream the calibrator fits the CPU
-    // effective rate from — the denominator of the live hybrid split.
-    cpu_flops_counter.Add(chunk_flops);
-    cpu_seconds_counter.Add(chunk_seconds);
+    RecordCpuWork(chunk_flops, chunk_seconds);
 
     ChunkPayload payload;
     payload.row_panel = desc.row_panel;

@@ -26,6 +26,10 @@ struct CpuRunOutput {
   bool cancelled = false;
 };
 
+/// Books CPU work on the (flops, seconds) sample stream the calibrator fits
+/// the CPU effective rate from — the denominator of the live hybrid split.
+void RecordCpuWork(std::int64_t flops, double seconds);
+
 /// Runs chunks `order[...]` of `prep` on the CPU.
 CpuRunOutput RunCpuChunks(const PreparedProblem& prep,
                           const std::vector<int>& order,

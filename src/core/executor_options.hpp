@@ -52,9 +52,10 @@ struct ExecutorOptions {
   /// watchdog sets it to reclaim a worker from an over-deadline job.
   const std::atomic<bool>* cancel = nullptr;
 
-  /// Attempts the executor itself makes on pool overflow (each doubling
-  /// nnz_safety_factor and re-planning).  A caller that owns retry policy —
-  /// the serving scheduler, which adds backoff between attempts — sets 1.
+  /// Attempts on pool overflow, each after the first doubling
+  /// nnz_safety_factor and re-planning (core::RetryWithReplan).  The serving
+  /// scheduler spends a job's budget through the same helper, so every
+  /// executor call inside it makes one attempt.
   int max_oom_attempts = 4;
 };
 

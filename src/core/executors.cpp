@@ -1,248 +1,77 @@
 #include "core/executors.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <numeric>
 
-#include "common/timer.hpp"
-#include "obs/metrics.hpp"
 #include "core/cpu_runner.hpp"
 #include "core/gpu_runner.hpp"
-#include "core/panel_cache.hpp"
+#include "core/lanes.hpp"
 #include "core/problem.hpp"
+#include "core/retry.hpp"
 #include "kernels/cpu_spgemm.hpp"
-#include "kernels/device_csr.hpp"
-#include "kernels/device_spgemm.hpp"
 #include "sparse/analysis.hpp"
 
 namespace oocgemm::core {
 
 using sparse::Csr;
-using sparse::index_t;
-using sparse::value_t;
 
 namespace {
 
-std::vector<int> NaturalOrder(int n) {
-  std::vector<int> order(static_cast<std::size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  return order;
-}
-
-std::vector<int> ChunkOrder(const PreparedProblem& prep, bool reorder) {
-  return reorder ? partition::OrderByFlopsDecreasing(prep.chunks)
-                 : NaturalOrder(prep.num_chunks());
-}
-
-bool CancelRequested(const ExecutorOptions& options) {
-  return options.cancel != nullptr &&
-         options.cancel->load(std::memory_order_relaxed);
-}
-
-obs::DoubleCounter& PhaseSeconds(const std::string& phase) {
-  return obs::MetricsRegistry::Default().GetDoubleCounter(
-      "oocgemm_core_phase_seconds", {{"phase", phase}},
-      "Time attributed to each SpGEMM phase (virtual device seconds for "
-      "analysis/symbolic/numeric, host wall seconds for assemble)");
-}
-
-/// Run-level accounting shared by every executor entry point.
-void RecordRun(const char* executor, const RunStats& stats) {
-  auto& reg = obs::MetricsRegistry::Default();
-  reg.GetCounter("oocgemm_core_runs", {{"executor", executor}},
-                 "Completed executor runs")
-      .Add(1);
-  reg.GetHistogram("oocgemm_core_run_seconds", {{"executor", executor}},
-                   "Virtual end-to-end seconds per completed run")
-      .Record(stats.total_seconds);
-}
-
-/// `exact_flops` is the runners' per-chunk exact tally (from the device
-/// analysis phase / the CPU runner's nnz(A)-walk), or -1 when no tally is
-/// available.  On estimate-seeded plans it lazily corrects the provisional
-/// planned flops and feeds the estimate-vs-actual error histograms; exact
-/// plans ignore it (planned == exact already).
-void FinishStats(const PreparedProblem& prep, const vgpu::Trace* trace,
-                 std::int64_t exact_flops, RunStats& stats) {
-  stats.num_chunks = prep.num_chunks();
-  stats.num_row_panels = prep.plan.num_row_panels;
-  stats.num_col_panels = prep.plan.num_col_panels;
-  stats.flops = prep.total_flops;
-  if (prep.plan.estimated) {
-    auto& reg = obs::MetricsRegistry::Default();
-    if (exact_flops >= 0) {
-      if (exact_flops > 0) {
-        reg.GetHistogram("oocgemm_estimate_rel_error",
-                         {{"quantity", "flops"}},
-                         "Relative error |estimated - actual| / actual of "
-                         "whole-run estimator predictions")
-            .Record(std::abs(static_cast<double>(prep.total_flops -
-                                                 exact_flops)) /
-                    static_cast<double>(exact_flops));
-      }
-      stats.flops = exact_flops;
-    }
-    if (stats.nnz_out > 0) {
-      std::int64_t planned_nnz = 0;
-      for (const auto& c : prep.chunks) planned_nnz += c.estimated_nnz;
-      reg.GetHistogram("oocgemm_estimate_rel_error", {{"quantity", "nnz"}},
-                       "Relative error |estimated - actual| / actual of "
-                       "whole-run estimator predictions")
-          .Record(std::abs(static_cast<double>(planned_nnz - stats.nnz_out)) /
-                  static_cast<double>(stats.nnz_out));
-    }
-  }
-  if (trace) {
-    FillStatsFromTrace(*trace, stats);
-    PhaseSeconds("analysis").Add(trace->BusyTimeLabeled(".analysis"));
-    PhaseSeconds("symbolic").Add(trace->BusyTimeLabeled(".symbolic"));
-    PhaseSeconds("numeric").Add(trace->BusyTimeLabeled(".numeric"));
-  }
-  auto& chunk_flops = obs::MetricsRegistry::Default().GetHistogram(
-      "oocgemm_core_chunk_flops", {}, "Flops per planned chunk");
-  for (const auto& c : prep.chunks) {
-    chunk_flops.Record(static_cast<double>(c.flops));
-  }
-  stats.compression_ratio =
-      stats.nnz_out > 0 ? static_cast<double>(stats.flops) /
-                              static_cast<double>(stats.nnz_out)
-                        : 0.0;
-}
-
-/// AssembleChunks with the host wall time booked to the assemble phase.
-sparse::Csr TimedAssemble(const partition::PanelBoundaries& row_bounds,
-                          const partition::PanelBoundaries& col_bounds,
-                          std::vector<ChunkPayload> payloads) {
-  WallTimer timer;
-  sparse::Csr c =
-      AssembleChunks(row_bounds, col_bounds, std::move(payloads));
-  PhaseSeconds("assemble").Add(timer.Seconds());
-  return c;
+/// One device through the lane runner: the asynchronous pipeline at share
+/// 1, Algorithm 4's hybrid at gpu_ratio.
+StatusOr<RunResult> RunOnDevice(const char* executor, vgpu::Device& device,
+                                const Csr& a, const Csr& b, double gpu_share,
+                                const ExecutorOptions& options,
+                                ThreadPool& pool) {
+  auto r = RetryWithReplan(
+      options, [&](const ExecutorOptions& o) -> StatusOr<RunResult> {
+        auto run = RunLanes({&device}, a, b, gpu_share, o, pool);
+        if (!run.ok()) return run.status();
+        return RunResult{std::move(run->c), run->stats};
+      });
+  if (r.ok()) RecordRun(executor, r->stats);
+  return r;
 }
 
 }  // namespace
 
-namespace {
-
-StatusOr<RunResult> SyncOutOfCoreImpl(vgpu::Device& device, const Csr& a,
-                                      const Csr& b,
-                                      const ExecutorOptions& options,
-                                      ThreadPool& pool) {
+StatusOr<RunResult> SyncOutOfCore(vgpu::Device& device, const Csr& a,
+                                  const Csr& b, const ExecutorOptions& options,
+                                  ThreadPool& pool) {
   // The baseline uses one working set at a time: no double buffering.
   ExecutorOptions sync_options = options;
   sync_options.plan.buffers = 1;
-  auto prep_or =
-      PrepareProblem(a, b, device.capacity(), sync_options, pool);
-  if (!prep_or.ok()) return prep_or.status();
-  const PreparedProblem& prep = prep_or.value();
-
-  device.ResetTimeline();
-  vgpu::HostContext host;
-  vgpu::Stream* stream = device.CreateStream("sync");
-  vgpu::MallocMemorySource source(device);  // spECK's dynamic allocations
-  PanelCache cache(device, host, prep.plan.max_a_panel_bytes,
-                   prep.plan.max_b_panel_bytes);
-  kernels::DeviceSpgemm engine(device, options.spgemm);
-
-  std::vector<ChunkPayload> payloads;
-  std::int64_t nnz_total = 0;
-  std::int64_t flops_total = 0;
-
-  // Algorithm 3: row-major double loop, transfer after each chunk.
-  for (const partition::ChunkDesc& desc : prep.chunks) {
-    if (CancelRequested(options)) {
-      return Status::Cancelled("SyncOutOfCore cancelled between chunks");
-    }
-    const std::string tag = "chunk[" + std::to_string(desc.row_panel) + "," +
-                            std::to_string(desc.col_panel) + "]";
-    auto da = cache.Acquire(
-        host, *stream, PanelCache::kA, desc.row_panel,
-        prep.a_panels[static_cast<std::size_t>(desc.row_panel)],
-        options.pinned_host);
-    if (!da.ok()) return da.status();
-    auto db = cache.Acquire(host, *stream, PanelCache::kB, desc.col_panel,
-                            prep.b_panel(desc.col_panel), options.pinned_host);
-    if (!db.ok()) return db.status();
-
-    auto chunk =
-        engine.Multiply(host, *stream, da.value(), db.value(), source, tag);
-    if (!chunk.ok()) return chunk.status();
-    cache.MarkUse(*stream, PanelCache::kA, desc.row_panel);
-    cache.MarkUse(*stream, PanelCache::kB, desc.col_panel);
-
-    ChunkPayload payload;
-    payload.row_panel = desc.row_panel;
-    payload.col_panel = desc.col_panel;
-    payload.row_offsets = chunk->row_offsets;
-    payload.col_ids.resize(static_cast<std::size_t>(chunk->nnz));
-    payload.values.resize(static_cast<std::size_t>(chunk->nnz));
-    device.MemcpyD2HAsync(host, *stream, payload.col_ids.data(),
-                          chunk->d_col_ids,
-                          chunk->nnz * static_cast<std::int64_t>(sizeof(index_t)),
-                          tag + ".payload.col_ids", options.pinned_host);
-    device.MemcpyD2HAsync(host, *stream, payload.values.data(),
-                          chunk->d_values,
-                          chunk->nnz * static_cast<std::int64_t>(sizeof(value_t)),
-                          tag + ".payload.values", options.pinned_host);
-    // "Data movement was done synchronously."
-    device.StreamSynchronize(host, *stream);
-    // Sticky-error checkpoint: never assemble a payload whose numeric
-    // kernels or transfers were faulted away.
-    if (Status health = device.health(); !health.ok()) {
-      kernels::ReleaseChunk(host, source, chunk.value());
-      return health;
-    }
-
-    nnz_total += chunk->nnz;
-    flops_total += chunk->flops;
-    payloads.push_back(std::move(payload));
-    kernels::ReleaseChunk(host, source, chunk.value());
-  }
-  device.DeviceSynchronize(host);
-
-  RunResult result;
-  result.stats.total_seconds = host.now;
-  result.stats.nnz_out = nnz_total;
-  result.stats.num_gpu_chunks = prep.num_chunks();
-  result.stats.gpu_seconds = host.now;
-  result.stats.device_peak_bytes = device.peak_bytes();
-  result.stats.b_panel_uploads = cache.misses(PanelCache::kB);
-  result.stats.b_panel_hits = cache.hits(PanelCache::kB);
-  FinishStats(prep, &device.trace(), flops_total, result.stats);
-  result.c = TimedAssemble(prep.row_bounds, prep.col_bounds,
-                           std::move(payloads));
-  return result;
+  auto r = RetryWithReplan(
+      sync_options, [&](const ExecutorOptions& o) -> StatusOr<RunResult> {
+        auto prep_or = PrepareProblem(a, b, device.capacity(), o, pool);
+        if (!prep_or.ok()) return prep_or.status();
+        const PreparedProblem& prep = prep_or.value();
+        device.ResetTimeline();
+        vgpu::HostContext host;
+        GpuWorkspace workspace(device, host, prep.plan.max_a_panel_bytes,
+                               prep.plan.max_b_panel_bytes);
+        // Algorithm 3: the row-major chunk grid, one chunk at a time.
+        std::vector<int> order(prep.chunks.size());
+        std::iota(order.begin(), order.end(), 0);
+        auto run = RunGpuChunks(device, host, prep, order, o,
+                                /*sink=*/nullptr, &workspace);
+        if (!run.ok()) return run.status();
+        // The stats read the trace before the workspace's frees reach it.
+        RunResult result;
+        result.stats = BuildRunStats(prep, std::span(&run.value(), 1),
+                                     /*cpu=*/nullptr, &device);
+        result.c = TimedAssemble(prep, std::move(run->payloads));
+        return result;
+      });
+  if (r.ok()) RecordRun("sync", r->stats);
+  return r;
 }
 
-StatusOr<RunResult> AsyncOutOfCoreImpl(vgpu::Device& device, const Csr& a,
-                                       const Csr& b,
-                                       const ExecutorOptions& options,
-                                       ThreadPool& pool) {
-  auto prep_or = PrepareProblem(a, b, device.capacity(), options, pool);
-  if (!prep_or.ok()) return prep_or.status();
-  const PreparedProblem& prep = prep_or.value();
-
-  device.ResetTimeline();
-  vgpu::HostContext host;
-  std::vector<int> order = ChunkOrder(prep, options.reorder_chunks);
-  auto run = RunGpuChunks(device, host, prep, order, options);
-  if (!run.ok()) return run.status();
-
-  RunResult result;
-  result.stats.total_seconds = run->makespan;
-  result.stats.nnz_out = run->nnz;
-  result.stats.num_gpu_chunks = run->chunks_run;
-  result.stats.gpu_seconds = run->makespan;
-  result.stats.device_peak_bytes = device.peak_bytes();
-  result.stats.b_panel_uploads = run->b_panel_uploads;
-  result.stats.b_panel_hits = run->b_panel_hits;
-  FinishStats(prep, &device.trace(), run->flops, result.stats);
-  result.c = TimedAssemble(prep.row_bounds, prep.col_bounds,
-                           std::move(run->payloads));
-  return result;
+StatusOr<RunResult> AsyncOutOfCore(vgpu::Device& device, const Csr& a,
+                                   const Csr& b,
+                                   const ExecutorOptions& options,
+                                   ThreadPool& pool) {
+  return RunOnDevice("async", device, a, b, 1.0, options, pool);
 }
-
-}  // namespace
 
 StatusOr<RunResult> CpuMulticore(const Csr& a, const Csr& b,
                                  const ExecutorOptions& options,
@@ -252,6 +81,7 @@ StatusOr<RunResult> CpuMulticore(const Csr& a, const Csr& b,
   }
   const kernels::CostModel& cm = options.spgemm.cost_model;
   kernels::CpuSpgemmOptions cpu_options;
+  cpu_options.accumulator = options.spgemm.accumulator;
   cpu_options.routing = options.spgemm.routing;
   Csr c = kernels::CpuSpgemm(a, b, pool, cpu_options);
 
@@ -264,16 +94,8 @@ StatusOr<RunResult> CpuMulticore(const Csr& a, const Csr& b,
                   : 0.0;
   result.stats.total_seconds = cm.CpuChunkSeconds(
       result.stats.flops, result.stats.compression_ratio);
-  // Same (flops, seconds) stream RunCpuChunks records: the calibrator's
-  // CPU-rate fit must see CPU-only traffic too.
-  obs::MetricsRegistry::Default()
-      .GetCounter("oocgemm_core_cpu_flops", {},
-                  "Flops executed on the CPU path")
-      .Add(result.stats.flops);
-  obs::MetricsRegistry::Default()
-      .GetDoubleCounter("oocgemm_core_cpu_seconds", {},
-                        "Modeled busy seconds of the CPU path")
-      .Add(result.stats.total_seconds);
+  // The calibrator's CPU-rate fit must see CPU-only traffic too.
+  RecordCpuWork(result.stats.flops, result.stats.total_seconds);
   result.stats.cpu_seconds = result.stats.total_seconds;
   result.stats.num_chunks = 1;
   result.stats.num_cpu_chunks = 1;
@@ -282,151 +104,21 @@ StatusOr<RunResult> CpuMulticore(const Csr& a, const Csr& b,
   return result;
 }
 
-namespace {
-
-StatusOr<RunResult> HybridImpl(vgpu::Device& device, const Csr& a,
-                               const Csr& b, const ExecutorOptions& options,
-                               ThreadPool& pool) {
-  auto prep_or = PrepareProblem(a, b, device.capacity(), options, pool);
-  if (!prep_or.ok()) return prep_or.status();
-  const PreparedProblem& prep = prep_or.value();
-
-  device.ResetTimeline();
-
-  // Algorithm 4: order chunks (by flops when reordering is on), then give
-  // the leading chunks holding `gpu_ratio` of the flops to the GPU.
-  std::vector<int> order = ChunkOrder(prep, options.reorder_chunks);
-  const int num_gpu =
-      partition::CountGpuChunks(prep.chunks, order, options.gpu_ratio);
-  std::vector<int> gpu_order(order.begin(), order.begin() + num_gpu);
-  std::vector<int> cpu_order(order.begin() + num_gpu, order.end());
-
-  // "We launch two parallel threads: one thread for GPU and one for CPU."
-  // Their virtual clocks both start at zero; the makespan is the later one.
-  vgpu::HostContext gpu_host;
-  auto gpu_run = RunGpuChunks(device, gpu_host, prep, gpu_order, options);
-  if (!gpu_run.ok()) return gpu_run.status();
-
-  CpuRunOutput cpu_run = RunCpuChunks(prep, cpu_order, options, pool);
-  if (cpu_run.cancelled) {
-    return Status::Cancelled("hybrid CPU half cancelled between chunks");
-  }
-
-  RunResult result;
-  result.stats.gpu_seconds = gpu_run->makespan;
-  result.stats.cpu_seconds = cpu_run.busy_seconds;
-  result.stats.total_seconds = std::max(gpu_run->makespan, cpu_run.busy_seconds);
-  result.stats.nnz_out = gpu_run->nnz + cpu_run.nnz;
-  result.stats.num_gpu_chunks = gpu_run->chunks_run;
-  result.stats.num_cpu_chunks = cpu_run.chunks_run;
-  result.stats.device_peak_bytes = device.peak_bytes();
-  result.stats.b_panel_uploads = gpu_run->b_panel_uploads;
-  result.stats.b_panel_hits = gpu_run->b_panel_hits;
-  FinishStats(prep, &device.trace(), gpu_run->flops + cpu_run.flops,
-              result.stats);
-  // The trace only covers the GPU side; the hybrid makespan may be CPU-bound.
-  result.stats.total_seconds =
-      std::max(result.stats.total_seconds,
-               std::max(gpu_run->makespan, cpu_run.busy_seconds));
-
-  std::vector<ChunkPayload> payloads = std::move(gpu_run->payloads);
-  for (auto& p : cpu_run.payloads) payloads.push_back(std::move(p));
-  result.c = TimedAssemble(prep.row_bounds, prep.col_bounds,
-                           std::move(payloads));
-  return result;
-}
-
-StatusOr<StreamedRunResult> AsyncOutOfCoreStreamedImpl(
-    vgpu::Device& device, const Csr& a, const Csr& b,
-    const ExecutorOptions& options, ThreadPool& pool, ChunkSink& sink) {
-  auto prep_or = PrepareProblem(a, b, device.capacity(), options, pool);
-  if (!prep_or.ok()) return prep_or.status();
-  const PreparedProblem& prep = prep_or.value();
-
-  device.ResetTimeline();
-  vgpu::HostContext host;
-  std::vector<int> order = ChunkOrder(prep, options.reorder_chunks);
-  auto run = RunGpuChunks(device, host, prep, order, options, &sink);
-  if (!run.ok()) return run.status();
-
-  StreamedRunResult result;
-  result.stats.total_seconds = run->makespan;
-  result.stats.nnz_out = run->nnz;
-  result.stats.num_gpu_chunks = run->chunks_run;
-  result.stats.gpu_seconds = run->makespan;
-  result.stats.device_peak_bytes = device.peak_bytes();
-  result.stats.b_panel_uploads = run->b_panel_uploads;
-  result.stats.b_panel_hits = run->b_panel_hits;
-  FinishStats(prep, &device.trace(), run->flops, result.stats);
-  result.row_bounds = prep.row_bounds;
-  result.col_bounds = prep.col_bounds;
-  return result;
-}
-
-/// Pool sizes come from a sampled estimate; a chunk can overflow them at
-/// run time.  Retry with a doubled safety factor (re-planning shrinks the
-/// chunks), as a production out-of-core runner must.
-template <typename Result, typename Fn>
-StatusOr<Result> RunWithOomRetry(Fn&& attempt, ExecutorOptions options) {
-  const int max_attempts = std::max(1, options.max_oom_attempts);
-  for (int i = 0;; ++i) {
-    if (CancelRequested(options)) {
-      return Status::Cancelled("executor cancelled before attempt " +
-                               std::to_string(i + 1));
-    }
-    StatusOr<Result> r = attempt(options);
-    if (r.ok() || r.status().code() != StatusCode::kOutOfMemory ||
-        i + 1 == max_attempts) {
-      return r;
-    }
-    options.plan.nnz_safety_factor *= 2.0;
-  }
-}
-
-}  // namespace
-
-StatusOr<RunResult> SyncOutOfCore(vgpu::Device& device, const Csr& a,
-                                  const Csr& b, const ExecutorOptions& options,
-                                  ThreadPool& pool) {
-  auto r = RunWithOomRetry<RunResult>(
-      [&](const ExecutorOptions& o) {
-        return SyncOutOfCoreImpl(device, a, b, o, pool);
-      },
-      options);
-  if (r.ok()) RecordRun("sync", r->stats);
-  return r;
-}
-
-StatusOr<RunResult> AsyncOutOfCore(vgpu::Device& device, const Csr& a,
-                                   const Csr& b,
-                                   const ExecutorOptions& options,
-                                   ThreadPool& pool) {
-  auto r = RunWithOomRetry<RunResult>(
-      [&](const ExecutorOptions& o) {
-        return AsyncOutOfCoreImpl(device, a, b, o, pool);
-      },
-      options);
-  if (r.ok()) RecordRun("async", r->stats);
-  return r;
-}
-
 StatusOr<RunResult> Hybrid(vgpu::Device& device, const Csr& a, const Csr& b,
                            const ExecutorOptions& options, ThreadPool& pool) {
-  auto r = RunWithOomRetry<RunResult>(
-      [&](const ExecutorOptions& o) { return HybridImpl(device, a, b, o, pool); },
-      options);
-  if (r.ok()) RecordRun("hybrid", r->stats);
-  return r;
+  return RunOnDevice("hybrid", device, a, b, options.gpu_ratio, options, pool);
 }
 
 StatusOr<StreamedRunResult> AsyncOutOfCoreStreamed(
     vgpu::Device& device, const Csr& a, const Csr& b,
     const ExecutorOptions& options, ThreadPool& pool, ChunkSink& sink) {
-  auto r = RunWithOomRetry<StreamedRunResult>(
-      [&](const ExecutorOptions& o) {
-        return AsyncOutOfCoreStreamedImpl(device, a, b, o, pool, sink);
-      },
-      options);
+  auto r = RetryWithReplan(
+      options, [&](const ExecutorOptions& o) -> StatusOr<StreamedRunResult> {
+        auto run = RunLanes({&device}, a, b, 1.0, o, pool, &sink);
+        if (!run.ok()) return run.status();
+        return StreamedRunResult{run->stats, std::move(run->row_bounds),
+                                 std::move(run->col_bounds)};
+      });
   if (r.ok()) RecordRun("async-streamed", r->stats);
   return r;
 }

@@ -1,4 +1,5 @@
-// The four end-to-end SpGEMM paths the paper evaluates:
+// The end-to-end SpGEMM paths the paper evaluates, plus the streamed
+// variant of the asynchronous one:
 //
 //  * SyncOutOfCore  — "synchronous, partitioned spECK": Algorithm 3 in
 //    row-major order, dynamic device allocation inside each chunk, and a
@@ -11,9 +12,13 @@
 //    of Fig. 7); runs entirely in host memory.
 //  * Hybrid         — Algorithm 4: flop-sorted chunks split between the
 //    asynchronous GPU pipeline and the CPU at `gpu_ratio` (65%).
+//  * AsyncOutOfCoreStreamed — AsyncOutOfCore with payloads handed to a
+//    ChunkSink instead of being assembled.
 //
-// All paths return the assembled result matrix plus virtual-time statistics
-// so benchmarks can print the paper's tables and figures.
+// The GPU paths share one chunk loop (core/lanes.hpp) and one overflow
+// retry (core/retry.hpp).  All paths return the assembled result matrix
+// plus virtual-time statistics so benchmarks can print the paper's tables
+// and figures.
 #pragma once
 
 #include "common/status.hpp"

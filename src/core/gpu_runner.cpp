@@ -26,8 +26,6 @@ namespace {
 /// A chunk whose kernels are issued and whose payload is (being) moved.
 struct PendingChunk {
   int slot = 0;
-  int row_panel = 0;
-  int col_panel = 0;
   ChunkProduct product;
   ChunkPayload payload;           // host destination buffers
   vgpu::Stream* stream = nullptr;
@@ -37,21 +35,24 @@ struct PendingChunk {
 /// Issues the D2H payload transfer of rows [rows_from, rows_to) of the
 /// pending chunk on its own stream (after its numeric phase by stream
 /// order).  Column-id and value arrays move as separate copies, as they are
-/// separate ranges of device memory.
+/// separate ranges of device memory.  An empty range issues nothing unless
+/// `copy_empty` is set (the synchronous baseline copies every chunk).
 void IssuePayloadRows(vgpu::Device& device, vgpu::HostContext& host,
                       PendingChunk& pending, index_t rows_from,
-                      index_t rows_to, bool pinned, const char* what) {
+                      index_t rows_to, bool pinned, const char* what,
+                      bool copy_empty = false) {
   const ChunkProduct& p = pending.product;
   OOC_CHECK(0 <= rows_from && rows_from <= rows_to && rows_to <= p.rows);
   const offset_t e0 = p.row_offsets[static_cast<std::size_t>(rows_from)];
   const offset_t e1 = p.row_offsets[static_cast<std::size_t>(rows_to)];
   const std::int64_t entries = e1 - e0;
-  if (entries <= 0) {
+  if (entries <= 0 && !copy_empty) {
     pending.rows_transferred = rows_to;
     return;
   }
-  const std::string tag = "chunk[" + std::to_string(pending.row_panel) + "," +
-                          std::to_string(pending.col_panel) + "]." + what;
+  const std::string tag = "chunk[" + std::to_string(pending.payload.row_panel) +
+                          "," + std::to_string(pending.payload.col_panel) +
+                          "]." + what;
   device.MemcpyD2HAsync(
       host, *pending.stream, pending.payload.col_ids.data() + e0,
       p.d_col_ids.Slice(e0 * static_cast<std::int64_t>(sizeof(index_t)),
@@ -75,16 +76,24 @@ GpuWorkspace::GpuWorkspace(vgpu::Device& device, vgpu::HostContext& host,
                            std::int64_t max_b_panel_bytes)
     : streams{device.CreateStream("pipe0"), device.CreateStream("pipe1")},
       cache(device, host, max_a_panel_bytes, max_b_panel_bytes) {
-  for (int s = 0; s < kSlots; ++s) {
+  for (int s = 0; s < kMaxSlots; ++s) {
     pools[s] = std::make_unique<vgpu::MemoryPool>(device, host, pool_bytes,
                                                   "pool" + std::to_string(s));
     sources[s] = std::make_unique<vgpu::PoolMemorySource>(*pools[s]);
   }
 }
 
+GpuWorkspace::GpuWorkspace(vgpu::Device& device, vgpu::HostContext& host,
+                           std::int64_t max_a_panel_bytes,
+                           std::int64_t max_b_panel_bytes)
+    : slots(1),
+      streams{device.CreateStream("sync"), nullptr},
+      sources{std::make_unique<vgpu::MallocMemorySource>(device), nullptr},
+      cache(device, host, max_a_panel_bytes, max_b_panel_bytes) {}
+
 Status GpuWorkspace::init_status() const {
   if (!cache.init_status().ok()) return cache.init_status();
-  for (int s = 0; s < kSlots; ++s) {
+  for (int s = 0; s < slots; ++s) {
     if (pools[s] != nullptr && !pools[s]->init_status().ok()) {
       return pools[s]->init_status();
     }
@@ -104,9 +113,6 @@ StatusOr<GpuRunOutput> RunGpuChunks(vgpu::Device& device,
     return out;
   }
 
-  const int nc = prep.plan.num_col_panels;
-  constexpr int kSlots = GpuWorkspace::kSlots;
-
   OOC_RETURN_IF_ERROR(device.health());
   std::unique_ptr<GpuWorkspace> local;
   if (workspace == nullptr) {
@@ -116,15 +122,17 @@ StatusOr<GpuRunOutput> RunGpuChunks(vgpu::Device& device,
     workspace = local.get();
   }
   OOC_RETURN_IF_ERROR(workspace->init_status());
+  const int slots = workspace->slots;
+  const bool blocking = slots == 1;
   vgpu::Stream** streams = workspace->streams;
-  std::unique_ptr<vgpu::PoolMemorySource>* sources = workspace->sources;
+  std::unique_ptr<vgpu::DeviceMemorySource>* sources = workspace->sources;
   PanelCache& cache = workspace->cache;
   kernels::AccumulatorScratch& scratch = workspace->scratch;
   const std::int64_t b_misses_before = cache.misses(PanelCache::kB);
   const std::int64_t b_hits_before = cache.hits(PanelCache::kB);
   // Pending chunks: the one whose payload is in flight (prev) and, per
   // slot, the one whose payload completed but is awaiting finalization.
-  std::optional<PendingChunk> slot_pending[kSlots];
+  std::optional<PendingChunk> slot_pending[GpuWorkspace::kMaxSlots];
   std::optional<PendingChunk> prev;  // numeric done, payload not fully issued
 
   Status sink_status = Status::Ok();
@@ -139,17 +147,17 @@ StatusOr<GpuRunOutput> RunGpuChunks(vgpu::Device& device,
     // this payload may be incomplete or corrupted — drop it rather than
     // ever assembling a wrong C.  The run fails at the loop's next check.
     const Status health = device.health();
+    // A dynamic source frees the chunk's buffers now; a pool recycles.
+    kernels::ReleaseChunk(host, *sources[slot], done.product);
     if (!health.ok()) {
       if (device_status.ok()) device_status = health;
-      slot_pending[slot].reset();
-      sources[slot]->Recycle();
-      return;
-    }
-    out.nnz += done.product.nnz;
-    if (sink != nullptr) {
-      if (sink_status.ok()) sink_status = sink->Consume(std::move(done.payload));
     } else {
-      out.payloads.push_back(std::move(done.payload));
+      out.nnz += done.product.nnz;
+      if (sink == nullptr) {
+        out.payloads.push_back(std::move(done.payload));
+      } else if (sink_status.ok()) {
+        sink_status = sink->Consume(std::move(done.payload));
+      }
     }
     slot_pending[slot].reset();
     sources[slot]->Recycle();
@@ -162,7 +170,7 @@ StatusOr<GpuRunOutput> RunGpuChunks(vgpu::Device& device,
   auto fail = [&](const Status& status) -> Status {
     device.DeviceSynchronize(host);
     prev.reset();
-    for (int s = 0; s < kSlots; ++s) {
+    for (int s = 0; s < slots; ++s) {
       slot_pending[s].reset();
       sources[s]->Recycle();
     }
@@ -172,7 +180,7 @@ StatusOr<GpuRunOutput> RunGpuChunks(vgpu::Device& device,
   };
 
   const bool scheduled =
-      options.transfer_schedule == TransferSchedule::kScheduled;
+      !blocking && options.transfer_schedule == TransferSchedule::kScheduled;
 
   for (std::size_t k = 0; k < order.size(); ++k) {
     if (options.cancel != nullptr &&
@@ -182,7 +190,7 @@ StatusOr<GpuRunOutput> RunGpuChunks(vgpu::Device& device,
     }
     const partition::ChunkDesc& desc =
         prep.chunks[static_cast<std::size_t>(order[k])];
-    const int slot = static_cast<int>(k % kSlots);
+    const int slot = static_cast<int>(k) % slots;
     finalize_slot(slot);  // reuse of the slot's pool requires its drain
     if (!device_status.ok()) return fail(device_status);
 
@@ -202,12 +210,19 @@ StatusOr<GpuRunOutput> RunGpuChunks(vgpu::Device& device,
     if (!db.ok()) return fail(db.status());
 
     ChunkPipeline pipeline(device, options.spgemm, scratch);
+    // A failed stage leaves the chunk's partial buffers with the pipeline;
+    // a dynamic source must free them before the run fails.
+    auto abandon = [&](const Status& status) {
+      ChunkProduct partial = pipeline.TakeProduct();
+      kernels::ReleaseChunk(host, *sources[slot], partial);
+      return fail(status);
+    };
 
     // Stage 1 + Fig. 6 transfer #1 (this chunk's analysis info).
     if (Status st = pipeline.RunAnalysis(host, *streams[slot], da.value(),
                                          db.value(), *sources[slot], tag);
         !st.ok()) {
-      return fail(st);
+      return abandon(st);
     }
 
     // Fig. 6 transfer #2: first portion of the previous chunk's payload,
@@ -221,7 +236,7 @@ StatusOr<GpuRunOutput> RunGpuChunks(vgpu::Device& device,
 
     // Stage 2 + Fig. 6 transfer #3 (this chunk's symbolic info).
     if (Status st = pipeline.RunSymbolic(host, *streams[slot]); !st.ok()) {
-      return fail(st);
+      return abandon(st);
     }
 
     // Fig. 6 transfer #4: the remainder of the previous chunk's payload,
@@ -242,8 +257,6 @@ StatusOr<GpuRunOutput> RunGpuChunks(vgpu::Device& device,
 
     PendingChunk cur;
     cur.slot = slot;
-    cur.row_panel = desc.row_panel;
-    cur.col_panel = desc.col_panel;
     cur.product = pipeline.TakeProduct();
     cur.stream = streams[slot];
     cur.payload.row_panel = desc.row_panel;
@@ -272,10 +285,15 @@ StatusOr<GpuRunOutput> RunGpuChunks(vgpu::Device& device,
       // after the numeric phase (Fig. 5's problematic ordering — the next
       // chunk's info transfer will stall behind it).
       IssuePayloadRows(device, host, cur, 0, cur.product.rows,
-                       options.pinned_host, "payload");
+                       options.pinned_host, "payload", blocking);
       slot_pending[cur.slot] = std::move(cur);
+      if (blocking) {
+        // "Data movement was done synchronously": the payload lands and
+        // the chunk's buffers are freed before the next chunk starts.
+        finalize_slot(slot);
+        if (!device_status.ok()) return fail(device_status);
+      }
     }
-    (void)nc;
   }
 
   // Drain: the last chunk's payload has nothing left to overlap with.
@@ -286,7 +304,7 @@ StatusOr<GpuRunOutput> RunGpuChunks(vgpu::Device& device,
     slot_pending[prev->slot] = std::move(*prev);
     prev.reset();
   }
-  for (int s = 0; s < kSlots; ++s) finalize_slot(s);
+  for (int s = 0; s < slots; ++s) finalize_slot(s);
   if (!device_status.ok()) return fail(device_status);
   if (!sink_status.ok()) return fail(sink_status);
 

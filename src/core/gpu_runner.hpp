@@ -11,7 +11,8 @@
 //  * the caller chooses the chunk order (decreasing flops per Section IV-C,
 //    or Algorithm 3's row-major order).
 //
-// The same runner also serves as the GPU half of the hybrid executor.
+// The same runner serves every GPU lane of the executors (see lanes.hpp) and,
+// on a blocking single-slot workspace, the synchronous baseline.
 #pragma once
 
 #include <cstdint>
@@ -31,21 +32,29 @@
 
 namespace oocgemm::core {
 
-/// Device-side working state of the asynchronous chunk pipeline: the two
-/// streams, the two pre-allocated chunk pools (Section IV-B) and the input
-/// panel cache.  A run normally builds one internally, but a caller that
-/// executes several runs against the same operand — the batched executor —
-/// builds one sized for the whole batch and passes it to every run, so
-/// pool pre-allocation happens once and cached panels (notably the shared
-/// B column panels) survive from job to job.
+/// Device-side working state of the chunk pipeline: its streams, one
+/// memory source per stream and the input panel cache.  A run normally
+/// builds one internally, but a caller that executes several runs against
+/// the same operand — the batched executor — builds one sized for the whole
+/// batch and passes it to every run, so pool pre-allocation happens once
+/// and cached panels (notably the shared B column panels) survive from job
+/// to job.
 struct GpuWorkspace {
-  static constexpr int kSlots = 2;  // "we create two streams and two buffers"
+  static constexpr int kMaxSlots = 2;  // "two streams and two buffers"
 
-  /// Pre-allocates the pools and the panel cache (serializing Mallocs on
-  /// the device timeline, like any cudaMalloc).
+  /// The asynchronous pipeline (Section IV-B): two streams, each drawing
+  /// from its own pre-allocated chunk pool.  Pre-allocates the pools and
+  /// the panel cache (serializing Mallocs on the device timeline, like any
+  /// cudaMalloc).
   GpuWorkspace(vgpu::Device& device, vgpu::HostContext& host,
                std::int64_t pool_bytes, std::int64_t max_a_panel_bytes,
                std::int64_t max_b_panel_bytes);
+
+  /// The synchronous baseline ("synchronous spECK"): one stream, and every
+  /// chunk buffer is a device Malloc of its own.  RunGpuChunks drains each
+  /// chunk's payload and frees its buffers before the next chunk starts.
+  GpuWorkspace(vgpu::Device& device, vgpu::HostContext& host,
+               std::int64_t max_a_panel_bytes, std::int64_t max_b_panel_bytes);
 
   GpuWorkspace(const GpuWorkspace&) = delete;
   GpuWorkspace& operator=(const GpuWorkspace&) = delete;
@@ -54,9 +63,11 @@ struct GpuWorkspace {
   /// panel cache at construction; RunGpuChunks checks before issuing work.
   Status init_status() const;
 
-  vgpu::Stream* streams[kSlots];
-  std::unique_ptr<vgpu::MemoryPool> pools[kSlots];
-  std::unique_ptr<vgpu::PoolMemorySource> sources[kSlots];
+  /// Streams in use: kMaxSlots when pipelined, 1 when blocking.
+  int slots = kMaxSlots;
+  vgpu::Stream* streams[kMaxSlots] = {};
+  std::unique_ptr<vgpu::MemoryPool> pools[kMaxSlots];
+  std::unique_ptr<vgpu::DeviceMemorySource> sources[kMaxSlots];
   PanelCache cache;
   kernels::AccumulatorScratch scratch;
 };
@@ -78,6 +89,7 @@ struct GpuRunOutput {
 /// Runs chunks `order[0..count)` of `prep` on `device`.  `host` carries the
 /// issuing thread's virtual clock (starts at host.now).  Fails on pool OOM
 /// (triggering the executors' re-planning retry) or panel upload OOM.
+/// Polls options.cancel at chunk boundaries.
 ///
 /// When `sink` is given, each chunk payload is handed to it as soon as its
 /// transfers drain (completion order) and `GpuRunOutput::payloads` stays

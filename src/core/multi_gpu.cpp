@@ -1,13 +1,25 @@
 #include "core/multi_gpu.hpp"
 
 #include <algorithm>
+#include <numeric>
 
-#include "core/cpu_runner.hpp"
-#include "core/gpu_runner.hpp"
-#include "core/problem.hpp"
-#include "partition/chunk.hpp"
+#include "core/lanes.hpp"
+#include "core/retry.hpp"
 
 namespace oocgemm::core {
+
+namespace {
+
+/// Generalized Algorithm 4: D devices of single-GPU ratio r = S/(S+1)
+/// together take D*S / (D*S + 1) of the flops.
+double MultiGpuShare(std::size_t num_devices, double gpu_ratio) {
+  const double r = std::clamp(gpu_ratio, 0.0, 1.0);
+  if (r >= 1.0) return 1.0;
+  const double ds = static_cast<double>(num_devices) * (r / (1.0 - r));
+  return ds / (ds + 1.0);
+}
+
+}  // namespace
 
 StatusOr<MultiGpuResult> MultiGpuHybrid(
     const std::vector<vgpu::Device*>& devices, const sparse::Csr& a,
@@ -17,148 +29,51 @@ StatusOr<MultiGpuResult> MultiGpuHybrid(
   }
 
   // Devices still in the deal; a device that faults mid-run is pruned and
-  // the attempt re-dealt across the survivors (failover, not retry: the
-  // OOM attempt budget is not consumed).
+  // the call re-dealt across the survivors (failover around the
+  // retry-with-replan, so it spends no pool-overflow attempt).
   std::vector<vgpu::Device*> live = devices;
   std::vector<int> live_ids(devices.size());
-  for (std::size_t i = 0; i < devices.size(); ++i) {
-    live_ids[i] = static_cast<int>(i);
-  }
+  std::iota(live_ids.begin(), live_ids.end(), 0);
   std::vector<int> failed_devices;
-
-  // Retry loop mirrors the single-device executors: pool overflow re-plans
-  // with a doubled safety factor.
-  ExecutorOptions attempt_options = options;
-  constexpr int kMaxAttempts = 4;
-  for (int attempt = 0;;) {
-    std::int64_t min_capacity = live[0]->capacity();
-    for (vgpu::Device* d : live) {
-      min_capacity = std::min(min_capacity, d->capacity());
+  for (;;) {
+    int failed = -1;
+    auto run = RetryWithReplan(options, [&](const ExecutorOptions& o) {
+      return RunLanes(live, a, b, MultiGpuShare(live.size(), o.gpu_ratio), o,
+                      pool, /*sink=*/nullptr, &failed);
+    });
+    if (!run.ok()) {
+      // A device fault, not a planning problem: RunGpuChunks dropped every
+      // payload of the faulted lane, so no partial chunk leaks through.
+      if (failed >= 0 && live.size() > 1 &&
+          !live[static_cast<std::size_t>(failed)]->health().ok()) {
+        failed_devices.push_back(live_ids[static_cast<std::size_t>(failed)]);
+        live.erase(live.begin() + failed);
+        live_ids.erase(live_ids.begin() + failed);
+        continue;
+      }
+      return run.status();
     }
-    auto prep_or = PrepareProblem(a, b, min_capacity, attempt_options, pool);
-    if (!prep_or.ok()) return prep_or.status();
-    const PreparedProblem& prep = prep_or.value();
-
-    // Generalized Algorithm 4 ratio: S' = D * r/(1-r) for single-GPU ratio r.
-    const int num_devices = static_cast<int>(live.size());
-    const double r = std::clamp(attempt_options.gpu_ratio, 0.0, 1.0);
-    double ratio_d = 1.0;
-    if (r < 1.0) {
-      const double s = r / (1.0 - r);
-      const double ds = static_cast<double>(num_devices) * s;
-      ratio_d = ds / (ds + 1.0);
-    }
-
-    std::vector<int> order = attempt_options.reorder_chunks
-                                 ? partition::OrderByFlopsDecreasing(prep.chunks)
-                                 : [&] {
-                                     std::vector<int> natural(
-                                         prep.chunks.size());
-                                     for (std::size_t i = 0; i < natural.size();
-                                          ++i) {
-                                       natural[i] = static_cast<int>(i);
-                                     }
-                                     return natural;
-                                   }();
-    const int num_gpu =
-        partition::CountGpuChunks(prep.chunks, order, ratio_d);
-
-    // Deal the flop-sorted GPU prefix round-robin: every device gets a
-    // comparable mix of heavy and light chunks.
-    std::vector<std::vector<int>> per_device(
-        static_cast<std::size_t>(num_devices));
-    for (int i = 0; i < num_gpu; ++i) {
-      per_device[static_cast<std::size_t>(i % num_devices)].push_back(
-          order[static_cast<std::size_t>(i)]);
-    }
-    std::vector<int> cpu_order(order.begin() + num_gpu, order.end());
 
     MultiGpuResult result;
-    std::vector<ChunkPayload> payloads;
-    bool oom = false;
-    bool pruned = false;
-    Status oom_status = Status::Ok();
-
-    for (int d = 0; d < num_devices && !oom; ++d) {
-      live[static_cast<std::size_t>(d)]->ResetTimeline();
-      vgpu::HostContext host;
-      auto run = RunGpuChunks(*live[static_cast<std::size_t>(d)], host,
-                              prep, per_device[static_cast<std::size_t>(d)],
-                              attempt_options);
-      if (!run.ok()) {
-        // Device fault (not a planning problem): prune it and re-deal this
-        // attempt across the survivors.  RunGpuChunks already dropped every
-        // payload of the faulted run, so no partial chunk leaks through.
-        if (!live[static_cast<std::size_t>(d)]->health().ok() &&
-            num_devices > 1) {
-          failed_devices.push_back(live_ids[static_cast<std::size_t>(d)]);
-          live.erase(live.begin() + d);
-          live_ids.erase(live_ids.begin() + d);
-          pruned = true;
-          break;
-        }
-        if (run.status().code() == StatusCode::kOutOfMemory &&
-            attempt + 1 < kMaxAttempts) {
-          oom = true;
-          oom_status = run.status();
-          break;
-        }
-        return run.status();
-      }
-      result.stats.gpu_seconds.push_back(run->makespan);
-      result.stats.combined.nnz_out += run->nnz;
-      result.stats.combined.num_gpu_chunks += run->chunks_run;
-      result.stats.combined.b_panel_uploads += run->b_panel_uploads;
-      result.stats.combined.b_panel_hits += run->b_panel_hits;
-
+    result.c = std::move(run->c);
+    result.stats.combined = run->stats;
+    for (std::size_t d = 0; d < live.size(); ++d) {
+      const GpuRunOutput& lane = run->lanes[d];
+      result.stats.gpu_seconds.push_back(lane.makespan);
       RunStats per;
-      per.flops = run->flops;
-      per.nnz_out = run->nnz;
-      per.num_chunks = run->chunks_run;
-      per.num_gpu_chunks = run->chunks_run;
-      per.b_panel_uploads = run->b_panel_uploads;
-      per.b_panel_hits = run->b_panel_hits;
-      FillStatsFromTrace(live[static_cast<std::size_t>(d)]->trace(), per);
-      per.total_seconds = std::max(per.total_seconds, run->makespan);
-      per.gpu_seconds = run->makespan;
-      result.stats.per_device.push_back(std::move(per));
-
-      for (auto& p : run->payloads) payloads.push_back(std::move(p));
+      per.flops = lane.flops;
+      per.nnz_out = lane.nnz;
+      per.num_chunks = lane.chunks_run;
+      per.num_gpu_chunks = lane.chunks_run;
+      per.b_panel_uploads = lane.b_panel_uploads;
+      per.b_panel_hits = lane.b_panel_hits;
+      FillStatsFromTrace(live[d]->trace(), per);
+      per.total_seconds = std::max(per.total_seconds, lane.makespan);
+      per.gpu_seconds = lane.makespan;
+      result.stats.per_device.push_back(per);
     }
-    if (pruned) continue;  // failover re-deal: the OOM budget is untouched
-    if (oom) {
-      ++attempt;
-      attempt_options.plan.nnz_safety_factor *= 2.0;
-      continue;
-    }
-
-    CpuRunOutput cpu = RunCpuChunks(prep, cpu_order, attempt_options, pool);
-    result.stats.combined.nnz_out += cpu.nnz;
-    result.stats.combined.num_cpu_chunks = cpu.chunks_run;
-    result.stats.combined.cpu_seconds = cpu.busy_seconds;
-    for (auto& p : cpu.payloads) payloads.push_back(std::move(p));
-
-    double makespan = cpu.busy_seconds;
-    for (double t : result.stats.gpu_seconds) makespan = std::max(makespan, t);
-    result.stats.combined.total_seconds = makespan;
-    result.stats.combined.gpu_seconds =
-        result.stats.gpu_seconds.empty()
-            ? 0.0
-            : *std::max_element(result.stats.gpu_seconds.begin(),
-                                result.stats.gpu_seconds.end());
-    result.stats.combined.flops = prep.total_flops;
-    result.stats.combined.num_chunks = prep.num_chunks();
-    result.stats.combined.num_row_panels = prep.plan.num_row_panels;
-    result.stats.combined.num_col_panels = prep.plan.num_col_panels;
-    result.stats.combined.compression_ratio =
-        result.stats.combined.nnz_out > 0
-            ? static_cast<double>(prep.total_flops) /
-                  static_cast<double>(result.stats.combined.nnz_out)
-            : 0.0;
-
     result.stats.failed_devices = failed_devices;
-    result.c = AssembleChunks(prep.row_bounds, prep.col_bounds,
-                              std::move(payloads));
+    RecordRun("multigpu", result.stats.combined);
     return result;
   }
 }

@@ -50,9 +50,11 @@ struct MultiGpuResult {
 /// Partial failure: when a device faults mid-run (its sticky health status
 /// turns non-OK) and at least one other device survives, the faulted
 /// device is pruned, its index recorded in stats.failed_devices, and the
-/// whole attempt re-deals across the survivors — no partial chunk from the
+/// whole call re-deals across the survivors — no partial chunk from the
 /// faulted device is ever assembled.  Only when the *last* device faults
-/// does the call fail, with the device's typed status.
+/// does the call fail, with the device's typed status.  Pool overflow
+/// re-plans within options.max_oom_attempts (core::RetryWithReplan); a
+/// cancel seen by any lane ends the call with kCancelled.
 StatusOr<MultiGpuResult> MultiGpuHybrid(
     const std::vector<vgpu::Device*>& devices, const sparse::Csr& a,
     const sparse::Csr& b, const ExecutorOptions& options, ThreadPool& pool);

@@ -37,14 +37,10 @@ struct JobOptions {
   core::ExecutionMode mode = core::ExecutionMode::kAuto;
 
   /// Base executor configuration (safety factor, transfer schedule, ...).
+  /// exec.max_oom_attempts is the job's budget of pool-overflow attempts:
+  /// the scheduler re-plans with a doubled nnz safety factor after each
+  /// (core::RetryWithReplan), and every executor call makes one attempt.
   core::ExecutorOptions exec;
-
-  /// Scheduler-level retries on device-pool exhaustion.  Each retry doubles
-  /// the plan's nnz safety factor and sleeps an exponentially growing
-  /// backoff before re-planning (the executors' own retry loop is disabled
-  /// while serving so this policy is the only one).
-  int max_retries = 3;
-  double retry_backoff_seconds = 0.001;
 
   /// Virtual arrival time for open-loop workloads: latency is measured
   /// from here on the virtual timeline.  Closed-loop callers leave 0.

@@ -6,6 +6,7 @@
 #include "core/batched.hpp"
 #include "core/executors.hpp"
 #include "core/multi_gpu.hpp"
+#include "core/retry.hpp"
 #include "serve/batching.hpp"
 
 namespace oocgemm::serve {
@@ -136,10 +137,7 @@ StatusOr<core::RunResult> Scheduler::Dispatch(
       if (devs.size() == 1) return core::Hybrid(*devs.front(), a, b, exec, pool_);
       auto mg = core::MultiGpuHybrid(devs, a, b, exec, pool_);
       if (!mg.ok()) return mg.status();
-      core::RunResult r;
-      r.c = std::move(mg->c);
-      r.stats = std::move(mg->stats.combined);
-      return r;
+      return core::RunResult{std::move(mg->c), mg->stats.combined};
     }
     case core::ExecutionMode::kAuto:
       break;
@@ -241,19 +239,16 @@ void Scheduler::RunJob(ScheduledJob& item) {
     FinishJob(item, std::move(result));
   };
 
-  // Execute with scheduler-owned retry-with-replan: the executor's internal
-  // retry loop is disabled, each pool overflow doubles the safety factor
-  // and backs off exponentially before trying again.
+  // Execute with scheduler-owned retry-with-replan on the job's own budget
+  // (exec.max_oom_attempts); each executor call inside makes one attempt.
   core::ExecutorOptions exec = opts.exec;
   exec.cancel = item.cancel.get();
-  exec.max_oom_attempts = 1;
   if (config_.kernel != kernels::AccumulatorKind::kAuto) {
     exec.spgemm.accumulator = config_.kernel;
   }
   // The job's own (static) split ratio, kept apart from the per-round
   // calibrated override so failover rounds never compound overrides.
   const double static_gpu_ratio = exec.gpu_ratio;
-  double backoff = std::max(0.0, opts.retry_backoff_seconds);
 
   core::ExecutionMode mode = opts.mode;
   std::vector<int> gpu_lane_indices;
@@ -395,19 +390,12 @@ void Scheduler::RunJob(ScheduledJob& item) {
 
     WatchJob(item);
 
-    for (int attempt = 0;; ++attempt) {
-      ++m.attempts;
-      run = Dispatch(mode, item, exec, devs);
-      const bool pool_overflow =
-          !run.ok() && run.status().code() == StatusCode::kOutOfMemory;
-      const bool cancelled = item.cancel->load(std::memory_order_relaxed);
-      if (!pool_overflow || attempt >= opts.max_retries || cancelled) break;
-      exec.plan.nnz_safety_factor *= 2.0;
-      if (backoff > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-        backoff *= 2.0;
-      }
-    }
+    run = core::RetryWithReplan(
+        exec,
+        [&](const core::ExecutorOptions& o) {
+          return Dispatch(mode, item, o, devs);
+        },
+        &m.attempts);
 
     // Inspect the held lanes' health BEFORE releasing them: a dead device
     // is pulled from the pool (no future lease lands on it) and a faulted
@@ -526,11 +514,10 @@ void Scheduler::RunBatch(std::vector<std::unique_ptr<ScheduledJob>>& batch) {
 
   // The leader's executor config drives the batch; per-member cancels go
   // through the specs.  Pool overflow replans the whole batch with the
-  // same doubling policy as the per-job path, on the leader's budget.
+  // same policy as the per-job path, on the leader's budget.
   const ScheduledJob& leader = *live.front();
   core::ExecutorOptions exec = leader.job.options.exec;
   exec.cancel = nullptr;
-  exec.max_oom_attempts = 1;
   if (config_.kernel != kernels::AccumulatorKind::kAuto) {
     exec.spgemm.accumulator = config_.kernel;
   }
@@ -550,22 +537,14 @@ void Scheduler::RunBatch(std::vector<std::unique_ptr<ScheduledJob>>& batch) {
   }
 
   int attempts = 0;
-  double backoff = std::max(0.0, leader.job.options.retry_backoff_seconds);
-  StatusOr<core::BatchedRunResult> run = Status::Internal("not attempted");
   WallTimer wall;
-  for (int attempt = 0;; ++attempt) {
-    ++attempts;
-    run = core::BatchedOutOfCore(slot.device(), specs, *leader.job.b, exec,
-                                 pool_);
-    const bool pool_overflow =
-        !run.ok() && run.status().code() == StatusCode::kOutOfMemory;
-    if (!pool_overflow || attempt >= leader.job.options.max_retries) break;
-    exec.plan.nnz_safety_factor *= 2.0;
-    if (backoff > 0.0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-      backoff *= 2.0;
-    }
-  }
+  StatusOr<core::BatchedRunResult> run = core::RetryWithReplan(
+      exec,
+      [&](const core::ExecutorOptions& o) {
+        return core::BatchedOutOfCore(slot.device(), specs, *leader.job.b, o,
+                                      pool_);
+      },
+      &attempts);
   const double wall_seconds = wall.Seconds();
 
   const int batch_device = slot.index();

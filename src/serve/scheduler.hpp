@@ -13,9 +13,10 @@
 //    dispatch and spans them via core::MultiGpuHybrid.
 //  * An operand-sharing batch pins to exactly one device: its persistent
 //    GpuWorkspace and resident B panels are that device's memory.
-//  * Pool exhaustion retries here, not in the executor: each retry doubles
-//    the plan's nnz safety factor and backs off exponentially (real sleep)
-//    before re-planning, bounded by JobOptions::max_retries.
+//  * Pool exhaustion retries here, not in the executor: core::RetryWithReplan
+//    doubles the plan's nnz safety factor before each re-plan, bounded by
+//    the job's exec.max_oom_attempts, and each executor call makes one
+//    attempt.
 //  * A watchdog thread drives JobOptions::timeout_seconds through the
 //    executors' cooperative-cancel token.
 //

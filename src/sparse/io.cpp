@@ -117,7 +117,14 @@ Status WriteMatrixMarket(const Csr& a, const std::string& path) {
 
 namespace {
 constexpr char kMagic[8] = {'O', 'O', 'C', 'C', 'S', 'R', '0', '1'};
+
+/// Writes all of `v`.  An empty array writes nothing: its data() may be
+/// null, and fwrite's buffer argument must not be.
+template <typename T>
+bool WriteAll(std::FILE* f, const std::vector<T>& v) {
+  return v.empty() || std::fwrite(v.data(), sizeof(T), v.size(), f) == v.size();
 }
+}  // namespace
 
 Status WriteBinary(const Csr& a, const std::string& path) {
   FilePtr f(std::fopen(path.c_str(), "wb"));
@@ -125,12 +132,8 @@ Status WriteBinary(const Csr& a, const std::string& path) {
   std::int64_t dims[3] = {a.rows(), a.cols(), a.nnz()};
   if (std::fwrite(kMagic, 1, sizeof(kMagic), f.get()) != sizeof(kMagic) ||
       std::fwrite(dims, sizeof(dims[0]), 3, f.get()) != 3 ||
-      std::fwrite(a.row_offsets().data(), sizeof(offset_t),
-                  a.row_offsets().size(), f.get()) != a.row_offsets().size() ||
-      std::fwrite(a.col_ids().data(), sizeof(index_t), a.col_ids().size(),
-                  f.get()) != a.col_ids().size() ||
-      std::fwrite(a.values().data(), sizeof(value_t), a.values().size(),
-                  f.get()) != a.values().size()) {
+      !WriteAll(f.get(), a.row_offsets()) || !WriteAll(f.get(), a.col_ids()) ||
+      !WriteAll(f.get(), a.values())) {
     return Status::IoError("short write: " + path);
   }
   return Status::Ok();

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "kernels/reference_spgemm.hpp"
+#include "obs/metrics.hpp"
 #include "sparse/analysis.hpp"
 #include "test_util.hpp"
 
@@ -158,6 +159,27 @@ TEST(CpuMulticore, MatchesReference) {
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(testutil::CsrNear(r->c, kernels::ReferenceSpgemm(a, a)));
   EXPECT_GT(r->stats.total_seconds, 0.0);
+}
+
+// The executor's accumulator choice reaches the CPU kernel: a forced dense
+// strategy shows up in the per-strategy row counters, and hash runs none.
+TEST(CpuMulticore, HonoursForcedAccumulator) {
+  Csr a = testutil::RandomCsr(256, 256, 4.0, 14);
+  ThreadPool pool(2);
+  ExecutorOptions options;
+  options.spgemm.accumulator = kernels::AccumulatorKind::kDense;
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  const obs::RegistrySnapshot before = reg.Snapshot();
+  auto r = CpuMulticore(a, a, options, pool);
+  ASSERT_TRUE(r.ok());
+  const obs::RegistrySnapshot after = reg.Snapshot();
+  auto rows = [&](const char* strategy) {
+    return after.Value("oocgemm_kernel_rows", {{"strategy", strategy}}) -
+           before.Value("oocgemm_kernel_rows", {{"strategy", strategy}});
+  };
+  EXPECT_GT(rows("dense"), 0.0);
+  EXPECT_EQ(rows("hash"), 0.0);
+  EXPECT_TRUE(testutil::CsrNear(r->c, kernels::ReferenceSpgemm(a, a)));
 }
 
 TEST(Hybrid, MatchesReference) {

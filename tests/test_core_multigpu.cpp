@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 
 #include "core/executors.hpp"
 #include "kernels/reference_spgemm.hpp"
+#include "sparse/analysis.hpp"
 #include "test_util.hpp"
 
 namespace oocgemm::core {
@@ -98,9 +100,8 @@ TEST(MultiGpuHybrid, SingleDeviceComparableToHybrid) {
   auto hybrid = Hybrid(single, a, a, ExecutorOptions{}, pool);
   ASSERT_TRUE(multi.ok() && hybrid.ok());
   // D = 1 reduces the generalized rule to Algorithm 4 exactly.
-  EXPECT_NEAR(multi->stats.combined.total_seconds,
-              hybrid->stats.total_seconds,
-              hybrid->stats.total_seconds * 0.01);
+  EXPECT_EQ(multi->stats.combined.total_seconds, hybrid->stats.total_seconds);
+  EXPECT_TRUE(multi->c == hybrid->c);
 }
 
 // Property: for random matrices and every pool size D in {1..4}, the
@@ -137,6 +138,54 @@ TEST(MultiGpuHybrid, PropertyDealAndOutputInvariants) {
       EXPECT_EQ(total, r->stats.combined.num_gpu_chunks);
     }
   }
+}
+
+// A cancel seen by the CPU lane ends the call with kCancelled; the partial
+// chunk set is never assembled.
+TEST(MultiGpuHybrid, CpuLaneCancelReturnsCancelled) {
+  Csr a = testutil::RandomRmat(9, 8.0, 8);
+  Fleet fleet(2);
+  ThreadPool pool(2);
+  std::atomic<bool> cancel{true};
+  ExecutorOptions options;
+  options.gpu_ratio = 0.0;  // every chunk on the CPU lane
+  options.cancel = &cancel;
+  auto r = MultiGpuHybrid(fleet.devices, a, a, options, pool);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+}
+
+// The pool-overflow budget is the caller's max_oom_attempts: one attempt
+// that overflows fails with kOutOfMemory instead of re-planning.
+TEST(MultiGpuHybrid, HonoursOomAttemptBudget) {
+  Csr a = testutil::RandomRmat(9, 8.0, 1);
+  Fleet fleet(2);
+  ThreadPool pool(2);
+  ExecutorOptions options;
+  options.plan.nnz_safety_factor = 0.125;  // the first attempt overflows
+  options.max_oom_attempts = 1;
+  auto r = MultiGpuHybrid(fleet.devices, a, a, options, pool);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kOutOfMemory);
+
+  options.max_oom_attempts = 4;
+  auto retried = MultiGpuHybrid(fleet.devices, a, a, options, pool);
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_TRUE(testutil::CsrNear(retried->c, kernels::ReferenceSpgemm(a, a)));
+}
+
+// Estimate-seeded plans carry provisional chunk flops; the combined stats
+// report the exact count the lanes tallied.
+TEST(MultiGpuHybrid, EstimatedPlanReportsExactFlops) {
+  Csr a = testutil::RandomRmat(10, 8.0, 3);
+  Fleet fleet(2);
+  ThreadPool pool(2);
+  ExecutorOptions options;
+  options.plan.use_sampling_estimator = true;
+  auto r = MultiGpuHybrid(fleet.devices, a, a, options, pool);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->stats.combined.flops, sparse::TotalFlops(a, a));
+  EXPECT_TRUE(testutil::CsrNear(r->c, kernels::ReferenceSpgemm(a, a)));
 }
 
 TEST(MultiGpuHybrid, EmptyDeviceListRejected) {

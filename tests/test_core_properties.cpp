@@ -237,5 +237,26 @@ TEST(FaultRecovery, ArenaReturnsToBaselineAfterFailedRunAndRerunSucceeds) {
   EXPECT_EQ(device.used_bytes(), baseline);
 }
 
+TEST(FaultRecovery, SyncFreesTheBuffersOfAChunkThatFailedMidway) {
+  // The synchronous baseline Mallocs each chunk's buffers one by one; when
+  // an allocation fails mid-chunk, the ones already made must be freed.
+  Csr a = testutil::RandomRmat(9, 8.0, 1);
+  ThreadPool pool(2);
+  vgpu::Device device(vgpu::ScaledV100Properties(14));
+  vgpu::FaultInjector injector(
+      vgpu::FaultSpec::Parse("alloc:label=c.col_ids:once:fail", 1).value());
+  device.set_fault_injector(&injector);
+  auto failed = SyncOutOfCore(device, a, a, ExecutorOptions{}, pool);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(device.used_bytes(), 0);
+
+  device.set_fault_injector(nullptr);
+  auto ok = SyncOutOfCore(device, a, a, ExecutorOptions{}, pool);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_TRUE(testutil::CsrNear(ok->c, kernels::ReferenceSpgemm(a, a)));
+  EXPECT_EQ(device.used_bytes(), 0);
+}
+
 }  // namespace
 }  // namespace oocgemm::core

@@ -3,7 +3,11 @@
 // factor, re-plan and still produce the correct result.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <vector>
+
 #include "core/executors.hpp"
+#include "core/retry.hpp"
 #include "kernels/reference_spgemm.hpp"
 #include "test_util.hpp"
 
@@ -69,6 +73,46 @@ TEST(OomRetry, WorstCaseSizingNeverRetries) {
   auto r = AsyncOutOfCore(device, a, a, options, pool);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(testutil::CsrNear(r->c, kernels::ReferenceSpgemm(a, a)));
+}
+
+// The helper under every executor and both scheduler paths: each retry
+// doubles the safety factor, the callee always sees a budget of one attempt
+// (so nested calls never multiply it), and attempts are counted.
+TEST(OomRetry, HelperDoublesSafetyFactorWithinTheBudget) {
+  ExecutorOptions options;
+  options.plan.nnz_safety_factor = 1.5;
+  options.max_oom_attempts = 4;
+  std::vector<double> factors;
+  int attempts = 0;
+  auto r = RetryWithReplan(
+      options,
+      [&](const ExecutorOptions& o) -> StatusOr<int> {
+        EXPECT_EQ(o.max_oom_attempts, 1);
+        factors.push_back(o.plan.nnz_safety_factor);
+        return Status::OutOfMemory("pool overflow");
+      },
+      &attempts);
+  EXPECT_EQ(r.status().code(), StatusCode::kOutOfMemory);
+  EXPECT_EQ(attempts, 4);
+  EXPECT_EQ(factors, (std::vector<double>{1.5, 3.0, 6.0, 12.0}));
+}
+
+// A cancel that lands after an overflow ends the call as cancelled rather
+// than as the overflow, and no further attempt runs.
+TEST(OomRetry, HelperStopsWithCancelledBetweenAttempts) {
+  std::atomic<bool> cancel{false};
+  ExecutorOptions options;
+  options.cancel = &cancel;
+  int attempts = 0;
+  auto r = RetryWithReplan(
+      options,
+      [&](const ExecutorOptions&) -> StatusOr<int> {
+        cancel.store(true);
+        return Status::OutOfMemory("pool overflow");
+      },
+      &attempts);
+  EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(attempts, 1);
 }
 
 }  // namespace

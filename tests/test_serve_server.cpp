@@ -193,7 +193,7 @@ TEST(SpgemmServer, RetryWithReplanRecoversFromUndersizedPools) {
   // doubling retries because the executor's internal loop is disabled.
   job.options.exec.plan.nnz_safety_factor = 0.125;
   job.options.mode = core::ExecutionMode::kGpuOutOfCore;
-  job.options.max_retries = 4;
+  job.options.exec.max_oom_attempts = 5;
   JobResult r = server.Submit(std::move(job)).get();
   ASSERT_TRUE(r.ok()) << r.status.ToString();
   EXPECT_GT(r.metrics.attempts, 1);
