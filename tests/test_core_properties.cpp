@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,13 @@ struct PropertyCase {
   const char* dataset;  // abbr from the paper registry (scaled down)
   int mem_shift;        // device memory = 16 GiB >> mem_shift
 };
+
+// gtest names a parameterized test after the printed parameter; its default
+// printer dumps the struct's bytes, pointers included, so the name would
+// change with every build.  Print the case's values instead.
+void PrintTo(const PropertyCase& c, std::ostream* os) {
+  *os << c.dataset << ", mem_shift=" << c.mem_shift;
+}
 
 class ExecutorPropertySweep : public ::testing::TestWithParam<PropertyCase> {};
 
@@ -142,6 +150,10 @@ struct FaultSweepCase {
   const char* name;
   const char* spec;  // vgpu::FaultSpec rule list
 };
+
+void PrintTo(const FaultSweepCase& c, std::ostream* os) {
+  *os << "faults " << c.spec;
+}
 
 class FaultSweep : public ::testing::TestWithParam<FaultSweepCase> {};
 

@@ -186,6 +186,17 @@ struct SpgemmCase {
   bool skewed;
 };
 
+// Printed in the test name in place of gtest's raw struct bytes, whose
+// pointer and padding bytes differ from build to build.
+void PrintTo(const SpgemmCase& c, std::ostream* os) {
+  if (c.skewed) {
+    *os << "rmat scale 8";
+  } else {
+    *os << c.rows << "x" << c.mid << "x" << c.cols;
+  }
+  *os << ", degree " << c.degree_a << "/" << c.degree_b;
+}
+
 class SpgemmOracleSweep : public ::testing::TestWithParam<SpgemmCase> {};
 
 TEST_P(SpgemmOracleSweep, AllPathsAgree) {
