@@ -138,6 +138,7 @@ StatusOr<LaneRun> RunLanes(const std::vector<vgpu::Device*>& devices,
         order[static_cast<std::size_t>(i)]);
   }
   const std::vector<int> cpu_order(order.begin() + num_gpu, order.end());
+  OOC_CHECK(sink == nullptr || cpu_order.empty());
 
   // "We launch two parallel threads: one thread for GPU and one for CPU."
   // Every lane's virtual clock starts at zero.
@@ -166,10 +167,6 @@ StatusOr<LaneRun> RunLanes(const std::vector<vgpu::Device*>& devices,
   if (sink == nullptr) {
     for (ChunkPayload& p : cpu.payloads) payloads.push_back(std::move(p));
     run.c = TimedAssemble(prep, std::move(payloads));
-  } else {
-    for (ChunkPayload& p : cpu.payloads) {
-      OOC_RETURN_IF_ERROR(sink->Consume(std::move(p)));
-    }
   }
   run.row_bounds = prep.row_bounds;
   run.col_bounds = prep.col_bounds;

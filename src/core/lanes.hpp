@@ -38,9 +38,10 @@ struct LaneRun {
 /// C = A * B per Algorithm 4 over `devices` plus the CPU, planned for the
 /// smallest device.  Chunks are taken in options.reorder_chunks order; each
 /// device lane starts on a reset timeline at virtual time 0, like the CPU
-/// lane, and the makespan is the latest lane.  With a sink every payload
-/// goes to it and LaneRun::c stays empty.  On failure, `*failed_device`
-/// holds the index of the device lane that failed, or -1.
+/// lane, and the makespan is the latest lane.  A sink takes a share-1 run
+/// (no CPU lane): every payload goes to it and LaneRun::c stays empty.  On
+/// failure, `*failed_device` holds the index of the device lane that
+/// failed, or -1.
 StatusOr<LaneRun> RunLanes(const std::vector<vgpu::Device*>& devices,
                            const sparse::Csr& a, const sparse::Csr& b,
                            double gpu_share, const ExecutorOptions& options,

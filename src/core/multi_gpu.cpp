@@ -28,54 +28,54 @@ StatusOr<MultiGpuResult> MultiGpuHybrid(
     return Status::InvalidArgument("MultiGpuHybrid needs at least one device");
   }
 
-  // Devices still in the deal; a device that faults mid-run is pruned and
-  // the call re-dealt across the survivors (failover around the
-  // retry-with-replan, so it spends no pool-overflow attempt).
+  // Devices still in the deal.  A device that faults mid-run is pruned and
+  // the attempt re-dealt across the survivors inside the retry-with-replan,
+  // so a prune spends no pool-overflow attempt and keeps the attempt's
+  // safety factor.
   std::vector<vgpu::Device*> live = devices;
   std::vector<int> live_ids(devices.size());
   std::iota(live_ids.begin(), live_ids.end(), 0);
   std::vector<int> failed_devices;
-  for (;;) {
-    int failed = -1;
-    auto run = RetryWithReplan(options, [&](const ExecutorOptions& o) {
-      return RunLanes(live, a, b, MultiGpuShare(live.size(), o.gpu_ratio), o,
-                      pool, /*sink=*/nullptr, &failed);
-    });
-    if (!run.ok()) {
-      // A device fault, not a planning problem: RunGpuChunks dropped every
-      // payload of the faulted lane, so no partial chunk leaks through.
-      if (failed >= 0 && live.size() > 1 &&
-          !live[static_cast<std::size_t>(failed)]->health().ok()) {
-        failed_devices.push_back(live_ids[static_cast<std::size_t>(failed)]);
-        live.erase(live.begin() + failed);
-        live_ids.erase(live_ids.begin() + failed);
-        continue;
+  auto run = RetryWithReplan(options, [&](const ExecutorOptions& o) {
+    for (;;) {
+      int failed = -1;
+      auto lanes = RunLanes(live, a, b, MultiGpuShare(live.size(), o.gpu_ratio),
+                            o, pool, /*sink=*/nullptr, &failed);
+      // Re-deal only after a device fault that leaves a survivor.
+      // RunGpuChunks dropped every payload of the faulted lane, so no
+      // partial chunk leaks through.
+      if (lanes.ok() || failed < 0 || live.size() == 1 ||
+          live[static_cast<std::size_t>(failed)]->health().ok()) {
+        return lanes;
       }
-      return run.status();
+      failed_devices.push_back(live_ids[static_cast<std::size_t>(failed)]);
+      live.erase(live.begin() + failed);
+      live_ids.erase(live_ids.begin() + failed);
     }
+  });
+  if (!run.ok()) return run.status();
 
-    MultiGpuResult result;
-    result.c = std::move(run->c);
-    result.stats.combined = run->stats;
-    for (std::size_t d = 0; d < live.size(); ++d) {
-      const GpuRunOutput& lane = run->lanes[d];
-      result.stats.gpu_seconds.push_back(lane.makespan);
-      RunStats per;
-      per.flops = lane.flops;
-      per.nnz_out = lane.nnz;
-      per.num_chunks = lane.chunks_run;
-      per.num_gpu_chunks = lane.chunks_run;
-      per.b_panel_uploads = lane.b_panel_uploads;
-      per.b_panel_hits = lane.b_panel_hits;
-      FillStatsFromTrace(live[d]->trace(), per);
-      per.total_seconds = std::max(per.total_seconds, lane.makespan);
-      per.gpu_seconds = lane.makespan;
-      result.stats.per_device.push_back(per);
-    }
-    result.stats.failed_devices = failed_devices;
-    RecordRun("multigpu", result.stats.combined);
-    return result;
+  MultiGpuResult result;
+  result.c = std::move(run->c);
+  result.stats.combined = run->stats;
+  for (std::size_t d = 0; d < live.size(); ++d) {
+    const GpuRunOutput& lane = run->lanes[d];
+    result.stats.gpu_seconds.push_back(lane.makespan);
+    RunStats per;
+    per.flops = lane.flops;
+    per.nnz_out = lane.nnz;
+    per.num_chunks = lane.chunks_run;
+    per.num_gpu_chunks = lane.chunks_run;
+    per.b_panel_uploads = lane.b_panel_uploads;
+    per.b_panel_hits = lane.b_panel_hits;
+    FillStatsFromTrace(live[d]->trace(), per);
+    per.total_seconds = std::max(per.total_seconds, lane.makespan);
+    per.gpu_seconds = lane.makespan;
+    result.stats.per_device.push_back(per);
   }
+  result.stats.failed_devices = failed_devices;
+  RecordRun("multigpu", result.stats.combined);
+  return result;
 }
 
 }  // namespace oocgemm::core

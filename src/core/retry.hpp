@@ -21,9 +21,10 @@ namespace oocgemm::core {
 /// options.max_oom_attempts attempts (at least one) are spent; each retry
 /// doubles options.plan.nnz_safety_factor.  The budget is spent here, so
 /// `attempt` sees max_oom_attempts = 1 and an executor it calls makes a
-/// single attempt.  options.cancel is polled between attempts: a cancel
-/// that lands after an overflow ends the call with kCancelled instead of
-/// another attempt.  `attempts`, when given, is incremented per attempt.
+/// single attempt.  options.cancel is polled before every attempt: a call
+/// that starts cancelled, or a cancel that lands after an overflow, ends
+/// with kCancelled instead of another attempt.  `attempts`, when given, is
+/// incremented per attempt run.
 template <typename Fn>
 auto RetryWithReplan(ExecutorOptions options, Fn&& attempt,
                      int* attempts = nullptr)
@@ -31,16 +32,16 @@ auto RetryWithReplan(ExecutorOptions options, Fn&& attempt,
   const int max_attempts = std::max(1, options.max_oom_attempts);
   options.max_oom_attempts = 1;
   for (int i = 1;; ++i) {
+    if (options.cancel != nullptr &&
+        options.cancel->load(std::memory_order_relaxed)) {
+      return Status::Cancelled("cancelled before pool-overflow attempt " +
+                               std::to_string(i));
+    }
     if (attempts != nullptr) ++*attempts;
     auto r = attempt(std::as_const(options));
     if (r.ok() || r.status().code() != StatusCode::kOutOfMemory ||
         i == max_attempts) {
       return r;
-    }
-    if (options.cancel != nullptr &&
-        options.cancel->load(std::memory_order_relaxed)) {
-      return Status::Cancelled("cancelled after " + std::to_string(i) +
-                               " pool-overflow attempt(s)");
     }
     options.plan.nnz_safety_factor *= 2.0;
   }

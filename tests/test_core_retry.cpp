@@ -115,5 +115,20 @@ TEST(OomRetry, HelperStopsWithCancelledBetweenAttempts) {
   EXPECT_EQ(attempts, 1);
 }
 
+// A call that starts cancelled runs no attempt: nothing is planned or
+// allocated under a lease the caller no longer wants.
+TEST(OomRetry, HelperRunsNoAttemptWhenCancelledBeforeTheCall) {
+  std::atomic<bool> cancel{true};
+  ExecutorOptions options;
+  options.cancel = &cancel;
+  int attempts = 0;
+  auto r = RetryWithReplan(
+      options,
+      [&](const ExecutorOptions&) -> StatusOr<int> { return 1; },
+      &attempts);
+  EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(attempts, 0);
+}
+
 }  // namespace
 }  // namespace oocgemm::core

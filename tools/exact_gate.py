@@ -3,23 +3,21 @@
 
 Run from the repository root:
 
-    python3 tools/exact_gate.py [--seeds 1 2 3] \
-        [--baseline bench/suite/baseline/set1.jsonl] [--seconds 1]
+    python3 tools/exact_gate.py
 
-For each seed this runs `bench/suite/run.py --workload paper-square --seed S
---seconds 1 --trace 0 --record FILE` and compares the exact keys of the
-result with the untraced baseline row of the same seed.  The exact keys are
-the virtual-time and count metrics: core.virtual_s.*, paper.*, vgpu.*,
-virtual_gflops, virtual_jobs_per_s, partition.chunks and
-core.hybrid_gpu_chunk_share.  They come from the simulated device and the
-cost model, so they do not depend on the host or on --seconds, and any
-difference at all is a change in behaviour.  Wall-clock metrics are not
-compared.
+For seeds 1, 2 and 3 this runs `bench/suite/run.py --workload paper-square
+--seed S --seconds 1 --trace 0 --record FILE` and compares the exact keys of
+the result with the untraced row of the same seed in
+bench/suite/baseline/set1.jsonl.  The exact keys are the virtual-time and
+count metrics: core.virtual_s.*, paper.*, vgpu.*, virtual_gflops,
+virtual_jobs_per_s, partition.chunks and core.hybrid_gpu_chunk_share.  They
+come from the simulated device and the cost model, so they do not depend on
+the host or on --seconds, and any difference at all is a change in
+behaviour.  Wall-clock metrics are not compared.
 
 Exit status: 0 when every exact key of every seed matches bit for bit; 1
 when a key is missing or differs, or a run fails.
 """
-import argparse
 import json
 import subprocess
 import sys
@@ -27,6 +25,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+BASELINE = ROOT / "bench" / "suite" / "baseline" / "set1.jsonl"
+SEEDS = (1, 2, 3)
 PREFIXES = ("core.virtual_s.", "paper.", "vgpu.")
 NAMES = {"virtual_gflops", "virtual_jobs_per_s", "partition.chunks",
          "core.hybrid_gpu_chunk_share"}
@@ -36,8 +36,8 @@ def exact_keys(metrics):
     return sorted(k for k in metrics if k in NAMES or k.startswith(PREFIXES))
 
 
-def baseline_row(path, seed):
-    for line in Path(path).read_text().splitlines():
+def baseline_row(seed):
+    for line in BASELINE.read_text().splitlines():
         row = json.loads(line)
         if (row["workload"] == "paper-square" and row["seed"] == seed
                 and row["trace"] == 0):
@@ -45,10 +45,10 @@ def baseline_row(path, seed):
     return None
 
 
-def run_seed(seed, seconds, record):
+def run_seed(seed, record):
     cmd = [sys.executable, str(ROOT / "bench" / "suite" / "run.py"),
            "--workload", "paper-square", "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0", "--record", str(record)]
+           "--seconds", "1", "--trace", "0", "--record", str(record)]
     proc = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.DEVNULL)
     if proc.returncode != 0 or not record.is_file():
         return None
@@ -56,20 +56,13 @@ def run_seed(seed, seconds, record):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--baseline",
-                        default=str(ROOT / "bench/suite/baseline/set1.jsonl"))
-    parser.add_argument("--seconds", type=float, default=1)
-    args = parser.parse_args()
-
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for seed in args.seeds:
-            base = baseline_row(args.baseline, seed)
+        for seed in SEEDS:
+            base = baseline_row(seed)
             if base is None:
                 print(f"seed {seed}: no untraced paper-square row in "
-                      f"{args.baseline}")
+                      f"{BASELINE}")
                 failures += 1
                 continue
             keys = exact_keys(base["metrics"])
@@ -77,7 +70,7 @@ def main():
                 print(f"seed {seed}: the baseline row holds no exact keys")
                 failures += 1
                 continue
-            got = run_seed(seed, args.seconds, Path(tmp) / f"seed{seed}.jsonl")
+            got = run_seed(seed, Path(tmp) / f"seed{seed}.jsonl")
             if got is None:
                 print(f"seed {seed}: paper-square run failed")
                 failures += 1
