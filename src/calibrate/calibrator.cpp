@@ -206,7 +206,7 @@ void CostModelCalibrator::PublishLocked() {
   }
 
   // Apply mode steers placement: push the fitted effective rate into the
-  // pool so least-reserved ties prefer the faster (undegraded) device.
+  // pool so free devices are leased faster (undegraded) first.
   if (config_.mode == CalibrateMode::kApply && pool_ != nullptr) {
     for (std::size_t i = 0; i < devices.size(); ++i) {
       pool_->set_rate_hint(static_cast<int>(i),

@@ -20,7 +20,7 @@
 //       rate (paper rule, live inputs);
 //   (b) admission — EstimateJobDemand[Sampled] price latency with the
 //       fitted rates (AdmissionRates);
-//   (c) placement — DevicePool least-reserved ties break on the fitted
+//   (c) placement — DevicePool leases free devices in order of fitted
 //       effective rate, steering work off degraded devices;
 //   (d) kernel routing — RouteRow cost scales track the fitted/static
 //       rate ratio.

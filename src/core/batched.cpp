@@ -103,6 +103,17 @@ StatusOr<BatchedRunResult> BatchedOutOfCoreImpl(
   out.b_panel_uploads = workspace.cache.misses(PanelCache::kB);
   out.b_panel_hits = workspace.cache.hits(PanelCache::kB);
   out.jobs.resize(n);
+  // The batch shares one timeline, so members take no trace fields but an
+  // integer share of its transfer bytes; the shares of the members that
+  // finish add up to the batch's total.
+  const std::int64_t h2d = device.trace().Bytes(vgpu::OpCategory::kH2D);
+  const std::int64_t d2h = device.trace().Bytes(vgpu::OpCategory::kD2H);
+  const std::int64_t finished =
+      std::count(cancelled.begin(), cancelled.end(), false);
+  std::int64_t rank = 0;  // among the members that finish
+  auto share = [&](std::int64_t total) {
+    return total / finished + (rank < total % finished ? 1 : 0);
+  };
   for (std::size_t i = 0; i < n; ++i) {
     if (cancelled[i]) {
       out.jobs[i].status =
@@ -111,10 +122,12 @@ StatusOr<BatchedRunResult> BatchedOutOfCoreImpl(
       continue;
     }
     RunResult& rr = out.jobs[i].run;
-    // The batch shares one timeline, so members take no trace fields.
     rr.stats = BuildRunStats(preps[i], std::span(&acc[i], 1), /*cpu=*/nullptr,
                              /*device=*/nullptr);
     rr.stats.device_peak_bytes = device.peak_bytes();
+    rr.stats.bytes_h2d = share(h2d);
+    rr.stats.bytes_d2h = share(d2h);
+    ++rank;
     rr.c = TimedAssemble(preps[i], std::move(acc[i].payloads));
   }
   return out;

@@ -1,20 +1,21 @@
-// A fleet of virtual GPUs behind one arbitration facade.
+// A fleet of virtual GPUs behind one exclusive-lease facade.
 //
-// The serving scheduler of PRs 1-2 funnelled every device-side job through
-// a single vgpu::Device and DeviceArbiter; the pool generalizes that to D
-// devices, each with its own exclusive-lease arbiter and reservation
-// ledger, plus the aggregate accounting admission needs ("how much device
-// memory is promised across the whole node?").
+// The virtual device is not thread-safe (its trace, allocator and timeline
+// are plain state) and every executor resets the timeline on entry, so two
+// jobs must never run on one device at once.  The pool hands out exclusive
+// leases (Slots), one holder per device; CPU-only work bypasses it.  The
+// lease is the only device-memory ledger: a device is leased only to a
+// caller whose working set fits its capacity, and the panel plan already
+// sizes every buffer of a run under that capacity, so a lease holder owns
+// all of the device memory it can need.
 //
-// Placement policy: candidates are the devices whose *capacity* can hold
-// the caller's working set (a job must never land on a device it cannot
-// fit — the per-device ledger would refuse the reservation and the job
-// would degrade or fail for no reason), ordered by least reserved bytes
-// first so new work spreads away from devices already promised to big
-// jobs.  TryAcquire walks that order and takes the first free device;
-// Acquire blocks until some candidate frees up.  TryAcquireFree grabs
-// every currently-free candidate (up to a cap) for jobs that can span
-// devices via core::MultiGpuHybrid.
+// Placement policy: candidates are the healthy devices whose *capacity*
+// holds the caller's working set (a job must never land on a device it
+// cannot fit), ordered by the calibrator's rate hint (faster first), ties
+// by index.  TryAcquire takes the first free candidate; Acquire blocks
+// until some candidate frees up.  TryAcquireFree grabs every currently-free
+// candidate (up to a cap) for jobs that can span devices via
+// core::MultiGpuHybrid.
 //
 // Devices are tagged with their pool index (vgpu::Device::set_id) so their
 // traces stay attributable after export.
@@ -22,12 +23,11 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
 
-#include "core/device_arbiter.hpp"
+#include "obs/metrics.hpp"
 #include "vgpu/device.hpp"
 
 namespace oocgemm::core {
@@ -42,9 +42,6 @@ class DevicePool {
 
   int size() const { return static_cast<int>(devices_.size()); }
   vgpu::Device& device(int index) const { return *devices_[static_cast<std::size_t>(index)]; }
-  DeviceArbiter& arbiter(int index) const {
-    return *arbiters_[static_cast<std::size_t>(index)];
-  }
 
   /// An exclusive lease on one pool device, plus which device it is.
   /// Releasing (or destroying) the slot wakes blocked Acquire callers.
@@ -55,53 +52,43 @@ class DevicePool {
     Slot& operator=(Slot&& other) noexcept {
       if (this != &other) {
         Release();
-        pool_ = other.pool_;
-        index_ = other.index_;
-        lease_ = std::move(other.lease_);
-        other.pool_ = nullptr;
-        other.index_ = -1;
+        pool_ = std::exchange(other.pool_, nullptr);
+        index_ = std::exchange(other.index_, -1);
       }
       return *this;
     }
     ~Slot() { Release(); }
 
-    bool held() const { return lease_.held(); }
+    bool held() const { return pool_ != nullptr; }
     int index() const { return index_; }
     vgpu::Device& device() const { return pool_->device(index_); }
-    DeviceArbiter& arbiter() const { return pool_->arbiter(index_); }
 
     void Release() {
-      if (lease_.held()) {
-        lease_.Release();
-        pool_->NotifyReleased();
-      }
+      if (pool_ != nullptr) pool_->ReleaseLease(index_);
       pool_ = nullptr;
       index_ = -1;
     }
 
    private:
     friend class DevicePool;
-    Slot(DevicePool* pool, int index, DeviceArbiter::Lease lease)
-        : pool_(pool), index_(index), lease_(std::move(lease)) {}
+    Slot(DevicePool* pool, int index) : pool_(pool), index_(index) {}
 
     DevicePool* pool_ = nullptr;
     int index_ = -1;
-    DeviceArbiter::Lease lease_;
   };
 
-  /// Non-blocking: the least-reserved free device whose capacity is at
-  /// least `min_capacity_bytes`; empty when every candidate is leased (or
-  /// none is large enough).
+  /// Non-blocking: the first free candidate whose capacity is at least
+  /// `min_capacity_bytes`; empty when every candidate is leased (or none is
+  /// large enough).
   Slot TryAcquire(std::int64_t min_capacity_bytes = 0);
 
-  /// Blocking variant.  Returns an empty slot *immediately* when no pool
-  /// device is large enough — waiting could never succeed.
+  /// Blocking variant.  Returns an empty slot *immediately* when no healthy
+  /// pool device is large enough — waiting could never succeed.
   Slot Acquire(std::int64_t min_capacity_bytes = 0);
 
-  /// Grabs up to `max_slots` currently-free candidates, least-reserved
-  /// first, without blocking (possibly none).  For multi-chunk jobs that
-  /// can span devices: opportunistic, never steals from queued neighbours
-  /// by waiting.
+  /// Grabs up to `max_slots` currently-free candidates, in candidate order,
+  /// without blocking (possibly none).  For multi-chunk jobs that can span
+  /// devices: opportunistic, never steals from queued neighbours by waiting.
   std::vector<Slot> TryAcquireFree(int max_slots,
                                    std::int64_t min_capacity_bytes = 0);
 
@@ -130,44 +117,51 @@ class DevicePool {
   // --- calibration hints -----------------------------------------------------
 
   /// Fitted effective flop rate of a device (flops/s), pushed by the
-  /// cost-model calibrator in apply mode.  Candidate ordering breaks
-  /// least-reserved ties on the hint (faster device first), so placement
-  /// steers away from degraded devices.  0 (the default) = no information;
-  /// all-zero hints reproduce the historical by-index tie-break exactly.
+  /// cost-model calibrator in apply mode.  Candidates are ordered by the
+  /// hint (faster device first), so placement steers away from degraded
+  /// devices.  0 (the default) = no information; all-zero hints order
+  /// candidates by index.
   void set_rate_hint(int index, double flops_per_second);
   double rate_hint(int index) const;
 
-  // --- aggregate accounting (sums over the per-device arbiters) -----------
+  // --- accounting ------------------------------------------------------------
 
-  std::int64_t total_capacity() const;
   std::int64_t max_device_capacity() const;
-  std::int64_t min_device_capacity() const;
-  std::int64_t reserved_bytes() const;
+  /// Leases granted, and acquisitions that found a candidate leased and no
+  /// free candidate to serve them (counted once per busy candidate).  Each
+  /// is mirrored into the default obs registry as
+  /// oocgemm_core_lease_{acquires,contention}{device=<index>}.
+  std::int64_t lease_count(int index) const;
+  std::int64_t contention_count(int index) const;
+  /// Sums over the pool's devices.
   std::int64_t lease_count() const;
   std::int64_t contention_count() const;
-  std::int64_t reserve_shortfalls() const;
-  std::int64_t unreserve_underflows() const;
 
  private:
-  friend class Slot;
-  void NotifyReleased() { released_cv_.notify_all(); }
+  struct DeviceState {
+    bool leased = false;
+    DeviceHealth health = DeviceHealth::kHealthy;
+    double rate_hint = 0.0;
+    std::int64_t leases = 0;
+    std::int64_t contention = 0;
+    obs::Counter* lease_metric = nullptr;
+    obs::Counter* contention_metric = nullptr;
+  };
 
-  /// Candidate indices (capacity >= min bytes) ordered by ascending
-  /// reserved bytes, ties by index.
-  std::vector<int> CandidatesByLeastReserved(
-      std::int64_t min_capacity_bytes) const;
+  void ReleaseLease(int index);
+  bool AnyDeviceFitsLocked(std::int64_t bytes) const;
+  /// Leases up to `max_slots` free candidates and returns their indices.
+  /// When fewer than `max_slots` are free, every leased candidate counts
+  /// one contention.  Slots are built from the indices after the mutex is
+  /// released: Slot::Release takes it.
+  std::vector<int> GrantFreeLocked(int max_slots,
+                                   std::int64_t min_capacity_bytes);
 
   std::vector<vgpu::Device*> devices_;
-  std::vector<std::unique_ptr<DeviceArbiter>> arbiters_;
 
-  mutable std::mutex health_mutex_;
-  std::vector<DeviceHealth> health_;
-  std::vector<double> rate_hints_;  // guarded by health_mutex_
-
-  // Wakes Acquire when any Slot releases.  Waits use a short timeout as a
-  // backstop so a lease released through the raw arbiter (tests do this)
-  // cannot strand a blocked Acquire.
-  std::mutex released_mutex_;
+  mutable std::mutex mutex_;
+  std::vector<DeviceState> state_;  // guarded by mutex_
+  // Wakes blocked Acquire callers on release, MarkUnhealthy and Revive.
   std::condition_variable released_cv_;
 };
 

@@ -57,7 +57,12 @@ StatusOr<MultiGpuResult> MultiGpuHybrid(
 
   MultiGpuResult result;
   result.c = std::move(run->c);
-  result.stats.combined = run->stats;
+  RunStats& combined = result.stats.combined;
+  combined = run->stats;
+  // No one trace covers several devices, but their transfer bytes add up:
+  // the combined stats carry the per-device sums.
+  combined.bytes_h2d = 0;
+  combined.bytes_d2h = 0;
   for (std::size_t d = 0; d < live.size(); ++d) {
     const GpuRunOutput& lane = run->lanes[d];
     result.stats.gpu_seconds.push_back(lane.makespan);
@@ -71,10 +76,12 @@ StatusOr<MultiGpuResult> MultiGpuHybrid(
     FillStatsFromTrace(live[d]->trace(), per);
     per.total_seconds = std::max(per.total_seconds, lane.makespan);
     per.gpu_seconds = lane.makespan;
+    combined.bytes_h2d += per.bytes_h2d;
+    combined.bytes_d2h += per.bytes_d2h;
     result.stats.per_device.push_back(per);
   }
   result.stats.failed_devices = failed_devices;
-  RecordRun("multigpu", result.stats.combined);
+  RecordRun("multigpu", combined);
   return result;
 }
 

@@ -22,6 +22,8 @@
 namespace oocgemm::core {
 
 struct MultiGpuStats {
+  /// The whole run.  It has no engine times (no one trace covers several
+  /// devices); its transfer bytes are the sums over `per_device`.
   RunStats combined;
   /// Virtual makespan of each GPU worker.
   std::vector<double> gpu_seconds;

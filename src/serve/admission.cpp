@@ -204,21 +204,7 @@ Status AdmissionController::Admit(const JobDemand& demand,
         HumanBytes(demand.host_bytes()) + " would exceed the " +
         HumanBytes(limits_.host_bytes_budget) + " budget");
   }
-  if (limits_.device_bytes_budget > 0 && demand.gpu_feasible &&
-      common::SaturatingAdd(outstanding_device_,
-                            demand.planned_device_bytes) >
-          limits_.device_bytes_budget) {
-    return Status::ResourceExhausted(
-        "admitted jobs hold " + HumanBytes(outstanding_device_) +
-        " of planned device memory, admitting " +
-        HumanBytes(demand.planned_device_bytes) + " would exceed the " +
-        HumanBytes(limits_.device_bytes_budget) + " pool budget");
-  }
   outstanding_ = common::SaturatingAdd(outstanding_, demand.host_bytes());
-  if (demand.gpu_feasible) {
-    outstanding_device_ = common::SaturatingAdd(outstanding_device_,
-                                                demand.planned_device_bytes);
-  }
   return Status::Ok();
 }
 
@@ -226,20 +212,11 @@ void AdmissionController::Release(const JobDemand& demand) {
   std::unique_lock<std::mutex> lock(mutex_);
   outstanding_ -= demand.host_bytes();
   if (outstanding_ < 0) outstanding_ = 0;
-  if (demand.gpu_feasible) {
-    outstanding_device_ -= demand.planned_device_bytes;
-    if (outstanding_device_ < 0) outstanding_device_ = 0;
-  }
 }
 
 std::int64_t AdmissionController::outstanding_bytes() const {
   std::unique_lock<std::mutex> lock(mutex_);
   return outstanding_;
-}
-
-std::int64_t AdmissionController::outstanding_device_bytes() const {
-  std::unique_lock<std::mutex> lock(mutex_);
-  return outstanding_device_;
 }
 
 }  // namespace oocgemm::serve

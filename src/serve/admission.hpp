@@ -10,9 +10,11 @@
 //    feasible, the exact pool bytes the pipeline will pre-allocate.
 //
 // Jobs whose demand can never fit are rejected immediately (never OOM
-// mid-flight); jobs that merely exceed the *current* outstanding-bytes
+// mid-flight); jobs that merely exceed the *current* outstanding host-bytes
 // budget are rejected with RESOURCE_EXHAUSTED so the client can retry —
-// the bounded queue provides the "wait" alternative.
+// the bounded queue provides the "wait" alternative.  Device memory needs
+// no budget here: the scheduler leases each device exclusively, and only to
+// a job whose planned device bytes fit its capacity.
 #pragma once
 
 #include <cstdint>
@@ -120,11 +122,6 @@ JobDemand EstimateJobDemandSampled(const sparse::Csr& a, const sparse::Csr& b,
 struct AdmissionLimits {
   /// Ceiling on the summed host_bytes() of admitted, not-yet-finished jobs.
   std::int64_t host_bytes_budget = 4ll << 30;
-  /// Ceiling on the summed planned_device_bytes of admitted GPU-feasible
-  /// jobs — the pool-wide headroom check for multi-device nodes.  0 means
-  /// uncapped (the per-device reservation ledgers still bound what runs);
-  /// servers typically set it to DevicePool::total_capacity().
-  std::int64_t device_bytes_budget = 0;
   /// Deadline gate on JobDemand::est_exec_seconds: jobs whose modeled
   /// latency exceeds it are rejected with FAILED_PRECONDITION (waiting
   /// cannot make the job faster).  0 disables the gate.
@@ -139,21 +136,18 @@ class AdmissionController {
   /// with Release when the job leaves the system).  Non-OK:
   ///  * FAILED_PRECONDITION — a GPU-only mode was requested but no panel
   ///    split fits the device (retrying cannot help);
-  ///  * RESOURCE_EXHAUSTED — the node is over the outstanding-bytes budget
-  ///    right now (retrying later can).
+  ///  * RESOURCE_EXHAUSTED — the node is over the outstanding host-bytes
+  ///    budget right now (retrying later can).
   Status Admit(const JobDemand& demand, core::ExecutionMode mode);
   void Release(const JobDemand& demand);
 
   std::int64_t outstanding_bytes() const;
-  /// Summed planned_device_bytes of admitted GPU-feasible jobs in flight.
-  std::int64_t outstanding_device_bytes() const;
   const AdmissionLimits& limits() const { return limits_; }
 
  private:
   AdmissionLimits limits_;
   mutable std::mutex mutex_;
   std::int64_t outstanding_ = 0;
-  std::int64_t outstanding_device_ = 0;
 };
 
 }  // namespace oocgemm::serve

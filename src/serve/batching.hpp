@@ -55,7 +55,7 @@ bool BatchableWith(const ScheduledJob& leader, const ScheduledJob& candidate);
 std::vector<std::unique_ptr<ScheduledJob>> PeelBatchCompanions(
     const ScheduledJob& leader, JobQueue& queue, std::size_t max_companions);
 
-/// Device bytes to reserve for a batch: the members run sequentially on one
+/// Device capacity a batch needs: the members run sequentially on one
 /// shared workspace sized for the largest plan, so the batch's demand is
 /// the max — not the sum — of the members'.
 std::int64_t BatchPlannedDeviceBytes(

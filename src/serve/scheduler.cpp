@@ -13,6 +13,12 @@ namespace oocgemm::serve {
 
 namespace {
 
+/// Plans with at most this many chunks count as small: a small kAuto job
+/// takes a device only if one is free at dispatch, else runs on the CPU.
+constexpr int kSmallJobChunks = 1;
+/// How often the watchdog checks running jobs' deadlines.
+constexpr std::chrono::microseconds kWatchdogPeriod{500};
+
 bool NeedsDevice(core::ExecutionMode mode) {
   return mode == core::ExecutionMode::kGpuOutOfCore ||
          mode == core::ExecutionMode::kGpuSynchronous ||
@@ -104,8 +110,6 @@ void Scheduler::WorkerLoop() {
 }
 
 void Scheduler::WatchdogLoop() {
-  const auto period = std::chrono::duration<double>(
-      std::max(1e-4, config_.watchdog_period_seconds));
   while (!stopping_.load(std::memory_order_relaxed)) {
     {
       std::unique_lock<std::mutex> lock(watch_mutex_);
@@ -116,7 +120,7 @@ void Scheduler::WatchdogLoop() {
         }
       }
     }
-    std::this_thread::sleep_for(period);
+    std::this_thread::sleep_for(kWatchdogPeriod);
   }
 }
 
@@ -167,16 +171,6 @@ std::pair<double, double> Scheduler::BookLanes(
     gpu_busy_[static_cast<std::size_t>(g)] += duration;
   }
   return {start, finish};
-}
-
-double Scheduler::BookGpuSpan(int device_index, double arrival,
-                              double duration) {
-  std::unique_lock<std::mutex> lock(lanes_mutex_);
-  double& lane = gpu_lanes_[static_cast<std::size_t>(device_index)];
-  const double start = std::max(arrival, lane);
-  lane = start + duration;
-  gpu_busy_[static_cast<std::size_t>(device_index)] += duration;
-  return start;
 }
 
 void Scheduler::FinishJob(ScheduledJob& item, JobResult result) {
@@ -263,9 +257,9 @@ void Scheduler::RunJob(ScheduledJob& item) {
   for (int round = 0;; ++round) {
     // Route.  kAuto mirrors core::Multiply's policy, plus graceful
     // degradation: a small job takes a device only if one is free this
-    // instant.  Placement is least-reserved-bytes first among the devices
-    // whose capacity holds the job's planned working set — a job never
-    // lands on a device it could not fit.
+    // instant.  The pool leases only devices whose capacity holds the job's
+    // planned working set, so a job never lands on a device it could not
+    // fit, and the exclusive lease gives it all of that device's memory.
     mode = opts.mode;
     gpu_lane_indices.clear();
     core::DevicePool::Slot slot;
@@ -274,7 +268,7 @@ void Scheduler::RunJob(ScheduledJob& item) {
     if (mode == core::ExecutionMode::kAuto) {
       if (!item.demand.gpu_feasible) {
         mode = core::ExecutionMode::kCpuOnly;
-      } else if (item.demand.planned_chunks <= config_.small_job_chunks) {
+      } else if (item.demand.planned_chunks <= kSmallJobChunks) {
         slot = devices_.TryAcquire(want);
         mode = slot.held() ? core::ExecutionMode::kGpuOutOfCore
                            : core::ExecutionMode::kCpuOnly;
@@ -297,68 +291,11 @@ void Scheduler::RunJob(ScheduledJob& item) {
       }
     }
 
-    // Reserve the plan's device bytes for the duration of the run.  Only
-    // what was actually reserved is returned below — CPU-only routes never
-    // touch the ledger, so reservations balance to zero by construction.
-    std::int64_t reserved = 0;
-    if (slot.held() && want > 0) {
-      if (slot.arbiter().TryReserve(want)) {
-        reserved = want;
-      } else {
-        stats_.RecordReserveShortfall();
-        if (opts.mode == core::ExecutionMode::kAuto) {
-          // Running anyway would overcommit the ledger admission relies on;
-          // degrade to the CPU path instead.
-          slot.Release();
-          mode = core::ExecutionMode::kCpuOnly;
-        } else {
-          // An explicit device mode has no CPU fallback: wait briefly for
-          // outstanding reservations to drain, then give up loudly.
-          const auto deadline =
-              std::chrono::steady_clock::now() +
-              ToSteadyDuration(std::max(0.0, config_.reserve_wait_seconds));
-          const auto poll = std::chrono::duration<double>(
-              std::max(1e-4, config_.reserve_poll_seconds));
-          while (reserved == 0 && std::chrono::steady_clock::now() < deadline) {
-            std::this_thread::sleep_for(poll);
-            if (slot.arbiter().AvailableEstimate() >= want &&
-                slot.arbiter().TryReserve(want)) {
-              reserved = want;
-            }
-          }
-          if (reserved == 0) {
-            const std::int64_t available = slot.arbiter().AvailableEstimate();
-            slot.Release();
-            finish(JobOutcome::kFailed,
-                   Status::ResourceExhausted(
-                       "device reservation unavailable: want " +
-                       std::to_string(want) + " bytes, " +
-                       std::to_string(available) + " free"));
-            return;
-          }
-        }
-      }
-    }
-
     // A multi-chunk Hybrid job may span extra devices that are free right
-    // now (opportunistic — never waits).  Each spanned device pre-allocates
-    // its own pools, so each carries its own reservation; a device that
-    // refuses is simply dropped from the span.
+    // now (opportunistic — never waits).
     if (slot.held() && mode == core::ExecutionMode::kHybrid &&
         config_.max_devices_per_job > 1) {
       span = devices_.TryAcquireFree(config_.max_devices_per_job - 1, want);
-      if (want > 0) {
-        std::vector<core::DevicePool::Slot> kept;
-        for (auto& extra : span) {
-          if (extra.arbiter().TryReserve(want)) {
-            kept.push_back(std::move(extra));
-          } else {
-            stats_.RecordReserveShortfall();
-            extra.Release();
-          }
-        }
-        span = std::move(kept);
-      }
     }
 
     std::vector<vgpu::Device*> devs;
@@ -414,11 +351,7 @@ void Scheduler::RunJob(ScheduledJob& item) {
     inspect(slot);
     for (auto& extra : span) inspect(extra);
 
-    if (reserved > 0) slot.arbiter().Unreserve(reserved);
-    for (auto& extra : span) {
-      if (want > 0) extra.arbiter().Unreserve(want);
-      extra.Release();
-    }
+    for (auto& extra : span) extra.Release();
     slot.Release();
     UnwatchJob(item);
 
@@ -485,9 +418,9 @@ void Scheduler::RunBatch(std::vector<std::unique_ptr<ScheduledJob>>& batch) {
 
   // The batch pins to exactly one device: its persistent GpuWorkspace and
   // resident B panels are that device's memory, so members cannot migrate
-  // mid-batch.  One lease and one reservation cover the whole batch: the
-  // members run back to back on a shared workspace, so the batch's device
-  // demand is the max — not the sum — of the members'.
+  // mid-batch.  One lease covers the whole batch: the members run back to
+  // back on a shared workspace, so the batch's device demand is the max —
+  // not the sum — of the members'.
   const std::int64_t want = BatchPlannedDeviceBytes(live);
   core::DevicePool::Slot slot = devices_.Acquire(want);
   if (!slot.held()) {
@@ -496,20 +429,6 @@ void Scheduler::RunBatch(std::vector<std::unique_ptr<ScheduledJob>>& batch) {
     fall_back();
     return;
   }
-  std::int64_t reserved = 0;
-  if (want > 0) {
-    if (slot.arbiter().TryReserve(want)) {
-      reserved = want;
-    } else {
-      // The per-job path owns the degradation policy (CPU fallback or
-      // bounded wait); don't duplicate it here.
-      stats_.RecordReserveShortfall();
-      slot.Release();
-      fall_back();
-      return;
-    }
-  }
-
   for (auto& item : live) WatchJob(*item);
 
   // The leader's executor config drives the batch; per-member cancels go
@@ -562,7 +481,6 @@ void Scheduler::RunBatch(std::vector<std::unique_ptr<ScheduledJob>>& batch) {
     }
   }
 
-  if (reserved > 0) slot.arbiter().Unreserve(reserved);
   slot.Release();
 
   if (!run.ok()) {
@@ -583,7 +501,8 @@ void Scheduler::RunBatch(std::vector<std::unique_ptr<ScheduledJob>>& batch) {
   for (auto& item : live) {
     arrival = std::max(arrival, item->job.options.virtual_arrival);
   }
-  const double start = BookGpuSpan(batch_device, arrival, run->batch_makespan);
+  const double start =
+      BookLanes(false, {batch_device}, arrival, run->batch_makespan).first;
 
   for (std::size_t i = 0; i < live.size(); ++i) {
     ScheduledJob& item = *live[i];

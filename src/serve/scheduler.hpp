@@ -1,16 +1,18 @@
 // The scheduler: worker threads that drain the admitted-job queue and
 // multiplex jobs over the node's processors.
 //
-//  * Device work goes through core::DevicePool — one exclusive-lease
-//    DeviceArbiter per device (each virtual GPU's timeline and allocator
-//    are single-tenant state).  CPU-only jobs bypass the pool and run
+//  * Device work goes through core::DevicePool, which grants one exclusive
+//    lease per device (each virtual GPU's timeline and allocator are
+//    single-tenant state).  CPU-only jobs bypass the pool and run
 //    concurrently on the shared thread pool.
-//  * Placement: GPU-eligible work goes to the least-reserved-bytes free
-//    device whose capacity holds the job's planned working set; when every
-//    such device is busy, small kAuto jobs degrade to the CPU and larger
-//    ones wait their turn.  With max_devices_per_job > 1, a multi-chunk
-//    Hybrid job additionally grabs whatever other candidates are free at
-//    dispatch and spans them via core::MultiGpuHybrid.
+//  * Placement: GPU-eligible work goes to the first free device, in the
+//    pool's rate-hint-then-index order, whose capacity holds the job's
+//    planned working set.  The lease is the job's whole device-memory
+//    budget: the panel plan sizes every buffer under that capacity.  When
+//    every such device is busy, single-chunk kAuto jobs degrade to the CPU
+//    and larger ones wait their turn.  With max_devices_per_job > 1, a
+//    multi-chunk Hybrid job additionally grabs whatever other candidates
+//    are free at dispatch and spans them via core::MultiGpuHybrid.
 //  * An operand-sharing batch pins to exactly one device: its persistent
 //    GpuWorkspace and resident B panels are that device's memory.
 //  * Pool exhaustion retries here, not in the executor: core::RetryWithReplan
@@ -59,9 +61,6 @@ struct SchedulerConfig {
   /// jobs the socket co-runs at full cost-model rate" — an approximation;
   /// keep it <= num_workers - 1 so a lane always has a worker behind it.
   int cpu_lanes = 2;
-  /// Plans with at most this many chunks count as small (degradable).
-  int small_job_chunks = 1;
-  double watchdog_period_seconds = 0.0005;
 
   /// Upper bound on the members of an operand-sharing batch dispatched as
   /// one device run (core::BatchedOutOfCore); 1 disables batch formation.
@@ -74,13 +73,6 @@ struct SchedulerConfig {
   /// 4's single-GPU hybrid; spanning is opportunistic — it never waits for
   /// a second device, so queued neighbours are not starved.
   int max_devices_per_job = 1;
-
-  /// A worker holding a device lease whose TryReserve is refused waits up
-  /// to this long (polling) for outstanding reservations to drain before
-  /// failing an explicit-GPU job with RESOURCE_EXHAUSTED.  kAuto jobs
-  /// degrade to the CPU path immediately instead of waiting.
-  double reserve_wait_seconds = 0.05;
-  double reserve_poll_seconds = 0.002;
 
   /// Accumulator strategy forced on every job's kernels (`--kernel`).
   /// kAuto keeps per-row-group registry routing; any other value
@@ -129,9 +121,6 @@ class Scheduler {
 
   core::DevicePool& device_pool() { return devices_; }
   const core::DevicePool& device_pool() const { return devices_; }
-  /// The first device's arbiter — the single-device view older callers and
-  /// tests use; identical to device_pool().arbiter(0).
-  core::DeviceArbiter& arbiter() { return devices_.arbiter(0); }
   /// Current frontier of the booking timeline (max over lanes).
   double VirtualNow() const;
   /// Cumulative booked virtual seconds of each device lane (utilization
@@ -161,8 +150,6 @@ class Scheduler {
   std::pair<double, double> BookLanes(bool uses_cpu,
                                       const std::vector<int>& gpu_lanes,
                                       double arrival, double duration);
-  /// Books `duration` on one device lane only; returns the booked start.
-  double BookGpuSpan(int device_index, double arrival, double duration);
   void WatchJob(const ScheduledJob& item);
   void UnwatchJob(const ScheduledJob& item);
 

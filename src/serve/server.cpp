@@ -186,12 +186,8 @@ ServerReport SpgemmServer::Report() const {
   for (std::size_t i = 0; i < n; ++i) {
     DeviceServeReport& d = r.devices[i];
     d.index = static_cast<int>(i);
-    const core::DeviceArbiter& arb = devices_.arbiter(static_cast<int>(i));
-    d.lease_count = arb.lease_count();
-    d.contention_count = arb.contention_count();
-    d.reserve_shortfalls = arb.reserve_shortfalls();
-    d.unreserve_underflows = arb.unreserve_underflows();
-    d.reserved_bytes = arb.reserved_bytes();
+    d.lease_count = devices_.lease_count(static_cast<int>(i));
+    d.contention_count = devices_.contention_count(static_cast<int>(i));
     d.capacity_bytes = devices_.device(static_cast<int>(i)).capacity();
     d.healthy = devices_.health(static_cast<int>(i)) ==
                 core::DevicePool::DeviceHealth::kHealthy;

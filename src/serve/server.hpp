@@ -7,8 +7,8 @@
 //   serve::JobResult r = future.get();    // r.c, r.metrics, r.status
 //
 // Multi-device nodes hand the server a fleet instead; the scheduler then
-// places each device-side job on the least-reserved device that fits it
-// (see core::DevicePool):
+// leases each device-side job the first free device that fits it (see
+// core::DevicePool):
 //
 //   serve::SpgemmServer server({&dev0, &dev1, &dev2}, pool);
 //
@@ -128,7 +128,7 @@ class SpgemmServer {
   void Shutdown();
 
   /// Snapshot of the aggregate report plus one DeviceServeReport per pool
-  /// device (lease/reservation/shortfall counters read off the arbiters,
+  /// device (lease and contention counters read off the device pool,
   /// lane busy seconds and utilization from the scheduler's timeline).
   ServerReport Report() const;
   /// Routing-time health summary; thread-safe and cheap (two atomic-ish
@@ -136,8 +136,6 @@ class SpgemmServer {
   ShardProbe Probe() const;
   core::DevicePool& device_pool() { return devices_; }
   const core::DevicePool& device_pool() const { return devices_; }
-  /// The first device's arbiter — the single-device view older callers use.
-  core::DeviceArbiter& arbiter() { return scheduler_.arbiter(); }
   const ServerConfig& config() const { return config_; }
   /// Non-null while metrics_path is configured (tests use WriteNow()).
   obs::Snapshotter* snapshotter() { return snapshotter_.get(); }

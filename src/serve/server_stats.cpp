@@ -33,9 +33,6 @@ ServerStats::ServerStats() {
   metrics_.batch_fallbacks = &reg.GetCounter(
       "oocgemm_serve_batch_fallbacks", {},
       "Batches that failed as a whole and re-ran per job");
-  metrics_.reserve_shortfalls = &reg.GetCounter(
-      "oocgemm_serve_reserve_shortfalls", {},
-      "Scheduler reservation attempts the arbiter refused");
   metrics_.h2d_bytes = &reg.GetCounter(
       "oocgemm_serve_h2d_bytes", {},
       "Summed H2D bytes of completed jobs' winning runs");
@@ -94,7 +91,6 @@ ServerReport ServerStats::Snapshot() const {
   r.batches = batches_;
   r.batched_jobs = batched_jobs_;
   r.batch_fallbacks = batch_fallbacks_;
-  r.reserve_shortfalls = reserve_shortfalls_;
   if (batches_ > 0) {
     r.avg_batch_size =
         static_cast<double>(batched_jobs_) / static_cast<double>(batches_);
@@ -229,9 +225,6 @@ std::string ServerReport::ToJson() const {
     os << "    {\"index\": " << d.index << ", \"completed\": " << d.completed
        << ", \"lease_count\": " << d.lease_count
        << ", \"contention_count\": " << d.contention_count
-       << ", \"reserve_shortfalls\": " << d.reserve_shortfalls
-       << ", \"unreserve_underflows\": " << d.unreserve_underflows
-       << ", \"reserved_bytes\": " << d.reserved_bytes
        << ", \"capacity_bytes\": " << d.capacity_bytes
        << ", \"failures\": " << d.failures
        << ", \"healthy\": " << (d.healthy ? "true" : "false")
@@ -261,7 +254,6 @@ std::string ServerReport::ToJson() const {
   os << "  \"b_panel_hits\": " << b_panel_hits << ",\n";
   os << "  \"transfer_bytes_h2d\": " << transfer_bytes_h2d << ",\n";
   os << "  \"transfer_bytes_d2h\": " << transfer_bytes_d2h << ",\n";
-  os << "  \"reserve_shortfalls\": " << reserve_shortfalls << ",\n";
   os << "  \"virtual_makespan_seconds\": " << virtual_makespan_seconds
      << ",\n";
   os << "  \"jobs_per_second\": " << jobs_per_second << ",\n";

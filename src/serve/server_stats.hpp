@@ -16,9 +16,8 @@
 namespace oocgemm::serve {
 
 /// One pool device's slice of the serving report.  The job counts come
-/// from JobMetrics::device_index; the lease/reservation counters are read
-/// off the device's DeviceArbiter at snapshot time, so after Drain() a
-/// balanced ledger shows reserved_bytes == 0 and unreserve_underflows == 0.
+/// from JobMetrics::device_index; the lease and contention counters are
+/// read off core::DevicePool at snapshot time.
 struct DeviceServeReport {
   int index = 0;
   /// Completed jobs whose primary device this was (a spanned Hybrid job
@@ -26,10 +25,6 @@ struct DeviceServeReport {
   std::int64_t completed = 0;
   std::int64_t lease_count = 0;
   std::int64_t contention_count = 0;
-  std::int64_t reserve_shortfalls = 0;
-  std::int64_t unreserve_underflows = 0;
-  /// Outstanding reservation ledger at snapshot (0 once drained).
-  std::int64_t reserved_bytes = 0;
   std::int64_t capacity_bytes = 0;
   /// Times the scheduler declared this lane dead mid-run (fault injection
   /// or a genuine device loss) and pulled it from the pool.
@@ -104,7 +99,9 @@ struct ServerReport {
   std::int64_t transfer_bytes_h2d = 0;
   std::int64_t transfer_bytes_d2h = 0;
 
-  /// Scheduler TryReserve attempts the arbiter refused (demand vs ledger).
+  /// Always 0: the exclusive device lease is the only device-memory
+  /// ledger, and a lease cannot be short of bytes.  Kept, and left out of
+  /// ToJson, because the benchmark suite still reads the field.
   std::int64_t reserve_shortfalls = 0;
 
   // Virtual-timeline throughput: completed jobs over the busy span
@@ -148,12 +145,6 @@ class ServerStats {
     ++batch_fallbacks_;
     metrics_.batch_fallbacks->Add(1);
   }
-  /// The scheduler asked the arbiter to reserve bytes and was refused.
-  void RecordReserveShortfall() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    ++reserve_shortfalls_;
-    metrics_.reserve_shortfalls->Add(1);
-  }
   /// The scheduler found pool device `index` dead mid-run and pulled it.
   void RecordDeviceFailure(int index) {
     std::unique_lock<std::mutex> lock(mutex_);
@@ -184,7 +175,6 @@ class ServerStats {
     obs::Counter* batches = nullptr;
     obs::Counter* batched_jobs = nullptr;
     obs::Counter* batch_fallbacks = nullptr;
-    obs::Counter* reserve_shortfalls = nullptr;
     obs::Counter* h2d_bytes = nullptr;
     obs::Counter* d2h_bytes = nullptr;
     obs::Counter* flops = nullptr;
@@ -199,7 +189,6 @@ class ServerStats {
   std::int64_t batches_ = 0;
   std::int64_t batched_jobs_ = 0;
   std::int64_t batch_fallbacks_ = 0;
-  std::int64_t reserve_shortfalls_ = 0;
   std::int64_t device_failures_ = 0;
   std::vector<std::int64_t> device_failure_counts_;
   /// Submissions per non-empty tenant id (outcomes come from finished_).

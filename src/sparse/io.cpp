@@ -1,8 +1,10 @@
 #include "sparse/io.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,6 +35,18 @@ bool ReadLine(std::FILE* f, std::string& line) {
 std::string Lower(std::string s) {
   for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   return s;
+}
+
+constexpr long long kMaxIndex = std::numeric_limits<index_t>::max();
+
+/// Bytes between the read position and the end of the file; 0 when the
+/// stream cannot seek.
+long long RemainingBytes(std::FILE* f) {
+  const long pos = std::ftell(f);
+  if (pos < 0 || std::fseek(f, 0, SEEK_END) != 0) return 0;
+  const long end = std::ftell(f);
+  std::fseek(f, pos, SEEK_SET);
+  return std::max(0L, end - pos);
 }
 
 }  // namespace
@@ -72,11 +86,17 @@ StatusOr<Csr> ReadMatrixMarket(const std::string& path) {
   if (rows < 0 || cols < 0 || entries < 0) {
     return Status::InvalidArgument("negative sizes: " + line);
   }
+  if (rows > kMaxIndex || cols > kMaxIndex) {
+    return Status::InvalidArgument("dimensions exceed the 32-bit index: " +
+                                   line);
+  }
 
   Coo coo;
   coo.rows = static_cast<index_t>(rows);
   coo.cols = static_cast<index_t>(cols);
-  coo.Reserve(static_cast<std::size_t>(entries) * (symmetric ? 2 : 1));
+  // An entry line takes at least 4 bytes ("1 1\n").
+  const long long fits = std::min(entries, RemainingBytes(f.get()) / 4);
+  coo.Reserve(static_cast<std::size_t>(fits) * (symmetric ? 2 : 1));
   for (long long e = 0; e < entries; ++e) {
     if (!ReadLine(f.get(), line)) {
       return Status::IoError("truncated entries in " + path);
@@ -149,8 +169,19 @@ StatusOr<Csr> ReadBinary(const std::string& path) {
     return Status::InvalidArgument("bad magic in " + path);
   }
   if (std::fread(dims, sizeof(dims[0]), 3, f.get()) != 3 || dims[0] < 0 ||
-      dims[1] < 0 || dims[2] < 0) {
+      dims[1] < 0 || dims[2] < 0 || dims[0] > kMaxIndex ||
+      dims[1] > kMaxIndex) {
     return Status::IoError("bad dims in " + path);
+  }
+  // The arrays follow the header: rows + 1 offsets, then 12 bytes (column
+  // id and value) per entry.
+  const long long entry_bytes =
+      RemainingBytes(f.get()) -
+      static_cast<long long>(sizeof(offset_t)) * (dims[0] + 1);
+  if (entry_bytes < 0 ||
+      dims[2] > entry_bytes / static_cast<long long>(sizeof(index_t) +
+                                                    sizeof(value_t))) {
+    return Status::IoError("short read: " + path);
   }
   std::vector<offset_t> offsets(static_cast<std::size_t>(dims[0]) + 1);
   std::vector<index_t> cols(static_cast<std::size_t>(dims[2]));

@@ -1,5 +1,10 @@
 // Matrix persistence: Matrix Market (the SuiteSparse interchange format the
 // paper's matrices ship in) and a fast binary format for cached test inputs.
+//
+// Headers are untrusted: the readers reject dimensions past index_t and
+// size no array past what the rest of the file can hold, so a crafted
+// header fails with a Status instead of exhausting memory.  ReadBinary
+// therefore needs a seekable file.
 #pragma once
 
 #include <string>

@@ -223,8 +223,8 @@ TEST(CalibrateDifferential, BelowThresholdGateHoldsUnderRealTraffic) {
 }
 
 TEST(CalibrateDifferential, ZeroHintsPreservePlacementOrder) {
-  // All-zero rate hints must reproduce the historical least-reserved
-  // placement: index order on a fresh pool.
+  // All-zero rate hints must reproduce the hintless placement: index
+  // order on a fresh pool.
   vgpu::Device d0(vgpu::ScaledV100Properties(15));
   vgpu::Device d1(vgpu::ScaledV100Properties(15));
   core::DevicePool pool({&d0, &d1});

@@ -75,8 +75,8 @@ TEST(CalibrateFeedback, DelayFaultShiftsEveryDecisionSurface) {
   ASSERT_TRUE(model->device(1).ratio_confident);
   EXPECT_LT(model->GpuRatioFor(1, 0.67), model->GpuRatioFor(0, 0.67));
 
-  // (3) Placement: apply mode pushed the fitted rates into the pool, so a
-  // least-reserved tie between the idle devices prefers the healthy one.
+  // (3) Placement: apply mode pushed the fitted rates into the pool, so of
+  // the idle devices the healthy one is leased first.
   EXPECT_EQ(pool.rate_hint(0), model->device(0).flop_rate);
   EXPECT_EQ(pool.rate_hint(1), model->device(1).flop_rate);
   core::DevicePool::Slot slot = pool.TryAcquire(0);

@@ -36,20 +36,31 @@ TEST(DevicePool, TagsDevicesWithTheirIndex) {
   }
 }
 
-TEST(DevicePool, LeastReservedDeviceWins) {
-  PoolFixture f({1, 1, 1});
-  ASSERT_TRUE(f.pool->arbiter(0).TryReserve(1000));
-  ASSERT_TRUE(f.pool->arbiter(1).TryReserve(10));
-  // Reserved bytes: 1000 / 10 / 0 — device 2 is least promised.
-  DevicePool::Slot first = f.pool->TryAcquire();
-  ASSERT_TRUE(first.held());
-  EXPECT_EQ(first.index(), 2);
-  // With 2 leased, the next-least-reserved free candidate is device 1.
-  DevicePool::Slot second = f.pool->TryAcquire();
-  ASSERT_TRUE(second.held());
-  EXPECT_EQ(second.index(), 1);
-  f.pool->arbiter(0).Unreserve(1000);
-  f.pool->arbiter(1).Unreserve(10);
+TEST(DevicePool, FreeDevicesLeaseInRateHintThenIndexOrder) {
+  PoolFixture f({1, 1, 1, 1});
+  f.pool->set_rate_hint(2, 5e9);
+  f.pool->set_rate_hint(3, 1e9);
+  // Hints 0 / 0 / 5e9 / 1e9: the faster hinted devices first, then the
+  // hintless ones by index.
+  std::vector<DevicePool::Slot> held;
+  std::vector<int> order;
+  for (int i = 0; i < 4; ++i) {
+    held.push_back(f.pool->TryAcquire());
+    ASSERT_TRUE(held.back().held());
+    order.push_back(held.back().index());
+  }
+  EXPECT_EQ(order, (std::vector<int>{2, 3, 0, 1}));
+  // Each call skipped the devices already leased and found a free one, so
+  // none of them counts as contention.
+  EXPECT_EQ(f.pool->lease_count(), 4);
+  EXPECT_EQ(f.pool->contention_count(), 0);
+
+  held.clear();
+  std::vector<DevicePool::Slot> pair = f.pool->TryAcquireFree(2);
+  ASSERT_EQ(pair.size(), 2u);
+  EXPECT_EQ(pair[0].index(), 2);
+  EXPECT_EQ(pair[1].index(), 3);
+  EXPECT_EQ(f.pool->contention_count(), 0);
 }
 
 TEST(DevicePool, SaturatedDevicesAreSkipped) {
@@ -97,8 +108,7 @@ TEST(DevicePool, SingleDevicePoolDegeneratesToArbiter) {
   s.Release();
   DevicePool::Slot again = f.pool->Acquire();
   EXPECT_TRUE(again.held());
-  EXPECT_EQ(f.pool->total_capacity(), f.pool->max_device_capacity());
-  EXPECT_EQ(f.pool->total_capacity(), f.pool->min_device_capacity());
+  EXPECT_EQ(f.pool->max_device_capacity(), f.devices[0]->capacity());
 }
 
 TEST(DevicePool, TryAcquireFreeGrabsDistinctFreeDevices) {
@@ -116,17 +126,27 @@ TEST(DevicePool, TryAcquireFreeGrabsDistinctFreeDevices) {
   EXPECT_EQ(f.pool->TryAcquireFree(2).size(), 2u);
 }
 
+// Each device's lease state is its arbiter; the pool's totals sum them.
 TEST(DevicePool, AggregatesSumTheArbiters) {
   PoolFixture f({1, 1});
-  ASSERT_TRUE(f.pool->arbiter(0).TryReserve(100));
-  ASSERT_TRUE(f.pool->arbiter(1).TryReserve(200));
-  EXPECT_EQ(f.pool->reserved_bytes(), 300);
-  f.pool->arbiter(0).Unreserve(100);
-  f.pool->arbiter(1).Unreserve(200);
-  EXPECT_EQ(f.pool->reserved_bytes(), 0);
-  EXPECT_EQ(f.pool->unreserve_underflows(), 0);
-  EXPECT_EQ(f.pool->total_capacity(),
-            f.devices[0]->capacity() + f.devices[1]->capacity());
+  DevicePool::Slot a = f.pool->TryAcquire();
+  DevicePool::Slot b = f.pool->TryAcquire();
+  ASSERT_TRUE(a.held() && b.held());
+  // Both devices leased: the refused call contends once on each.
+  EXPECT_FALSE(f.pool->TryAcquire().held());
+  a.Release();
+  DevicePool::Slot again = f.pool->TryAcquire();
+  ASSERT_TRUE(again.held());
+  EXPECT_EQ(again.index(), 0);
+
+  EXPECT_EQ(f.pool->lease_count(0), 2);
+  EXPECT_EQ(f.pool->lease_count(1), 1);
+  EXPECT_EQ(f.pool->contention_count(0), 1);
+  EXPECT_EQ(f.pool->contention_count(1), 1);
+  EXPECT_EQ(f.pool->lease_count(),
+            f.pool->lease_count(0) + f.pool->lease_count(1));
+  EXPECT_EQ(f.pool->contention_count(),
+            f.pool->contention_count(0) + f.pool->contention_count(1));
 }
 
 TEST(DevicePool, AcquireBlocksUntilRelease) {

@@ -35,7 +35,7 @@ constexpr Golden kGolden[] = {
     {"cpu", 0.013397225362912579, 1, 0, 0, 0},
     {"hybrid", 0.0059953650977798475, 36, 13, 4188076, 3436172},
     {"streamed", 0.0088977762443854073, 36, 36, 7031364, 4803840},
-    // A run over several devices carries no engine fields in its combined
+    // A run over several devices carries no engine times in its combined
     // stats; its bytes are the sums over the per-device stats.
     {"multigpu2", 0.0041773930991531151, 36, 15, 6889812, 3964804},
 };

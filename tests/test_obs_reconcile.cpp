@@ -209,6 +209,94 @@ TEST(MetricsReconcile, FaultInjectedServeRunMatchesServerReport) {
   std::remove((config.metrics_path + ".json").c_str());
 }
 
+/// Delta of a per-device vgpu counter, summed over devices 0..count-1.
+std::int64_t DeviceDelta(const obs::RegistrySnapshot& before,
+                         const obs::RegistrySnapshot& after, const char* name,
+                         int count) {
+  double sum = 0.0;
+  for (int d = 0; d < count; ++d) {
+    sum += after.Value(name, Dev(d)) - before.Value(name, Dev(d));
+  }
+  return static_cast<std::int64_t>(sum);
+}
+
+// A job that spans devices and a batch that shares one timeline both
+// complete with stats of their own; the report must still count every byte
+// the devices moved.  Both servers are fault-free and every run succeeds at
+// its first attempt, so no byte belongs to an attempt that did not finish.
+TEST(MetricsReconcile, SpanAndBatchReportsCountEveryDeviceByte) {
+  auto& reg = obs::MetricsRegistry::Default();
+  ThreadPool pool(2);
+  std::vector<std::unique_ptr<vgpu::Device>> storage;
+  std::vector<vgpu::Device*> devices;
+  for (int i = 0; i < 2; ++i) {
+    storage.push_back(
+        std::make_unique<vgpu::Device>(vgpu::ScaledV100Properties(14)));
+    devices.push_back(storage.back().get());
+  }
+  auto expect_every_byte = [&](const serve::ServerReport& report,
+                               const obs::RegistrySnapshot& before,
+                               int count) {
+    const obs::RegistrySnapshot after = reg.Snapshot();
+    EXPECT_GT(report.transfer_bytes_h2d, 0);
+    EXPECT_EQ(report.transfer_bytes_h2d,
+              DeviceDelta(before, after, "oocgemm_vgpu_h2d_bytes", count));
+    EXPECT_EQ(report.transfer_bytes_d2h,
+              DeviceDelta(before, after, "oocgemm_vgpu_d2h_bytes", count));
+  };
+
+  {
+    SCOPED_TRACE("hybrid job spanning two devices");
+    serve::ServerConfig config;
+    config.scheduler.num_workers = 1;
+    config.scheduler.max_devices_per_job = 2;
+    serve::SpgemmServer server(devices, pool, config);
+    const obs::RegistrySnapshot before = reg.Snapshot();
+    auto a = std::make_shared<const Csr>(testutil::RandomRmat(9, 8.0, 11));
+    serve::SpgemmJob job{a, a, {}};
+    job.options.mode = core::ExecutionMode::kHybrid;
+    serve::JobResult r = server.Submit(std::move(job)).get();
+    ASSERT_TRUE(r.ok()) << r.status.ToString();
+    ASSERT_EQ(r.metrics.devices_used, 2);
+    ASSERT_EQ(r.metrics.attempts, 1);
+    server.Drain();
+    expect_every_byte(server.Report(), before, 2);
+  }
+
+  {
+    SCOPED_TRACE("four jobs sharing B batched on one device");
+    serve::ServerConfig config;
+    config.scheduler.num_workers = 1;
+    config.scheduler.max_batch_jobs = 4;
+    serve::SpgemmServer server({devices[0]}, pool, config);
+    const obs::RegistrySnapshot before = reg.Snapshot();
+    // A CPU-only blocker holds the lone worker while the batch queues up.
+    auto blocker = std::make_shared<const Csr>(testutil::RandomRmat(9, 8.0, 51));
+    serve::SpgemmJob blocker_job{blocker, blocker, {}};
+    blocker_job.options.mode = core::ExecutionMode::kCpuOnly;
+    std::vector<std::future<serve::JobResult>> futures;
+    futures.push_back(server.Submit(std::move(blocker_job)));
+    auto b = std::make_shared<const Csr>(testutil::RandomRmat(9, 8.0, 50));
+    for (int i = 0; i < 4; ++i) {
+      auto a = std::make_shared<const Csr>(testutil::RandomCsr(
+          b->rows(), b->rows(), 6.0, 500 + static_cast<std::uint64_t>(i)));
+      serve::SpgemmJob job{a, b, {}};
+      job.options.mode = core::ExecutionMode::kGpuOutOfCore;
+      futures.push_back(server.Submit(std::move(job)));
+    }
+    server.Drain();
+    for (auto& f : futures) {
+      serve::JobResult r = f.get();
+      ASSERT_TRUE(r.ok()) << r.status.ToString();
+      ASSERT_LE(r.metrics.attempts, 1);
+    }
+    const serve::ServerReport report = server.Report();
+    ASSERT_GE(report.batches, 1);
+    ASSERT_EQ(report.batch_fallbacks, 0);
+    expect_every_byte(report, before, 1);
+  }
+}
+
 TEST(MetricsReconcile, DisabledRegistryRecordsNothing) {
   auto& reg = obs::MetricsRegistry::Default();
   vgpu::Device device(vgpu::ScaledV100Properties(14));

@@ -1,11 +1,7 @@
 // Serving-layer regression tests for operand-aware batching and the
-// device-reservation accounting fixes:
+// device-lease accounting:
 //  * batches form only among jobs sharing B, and their results are exact;
-//  * the arbiter's reservation ledger balances to zero — with zero
-//    underflows — after mixed CPU/GPU workloads;
-//  * a refused TryReserve degrades kAuto jobs to the CPU instead of
-//    overcommitting, and fails explicit-GPU jobs loudly after a bounded
-//    wait;
+//  * every device lease is returned after mixed CPU/GPU workloads;
 //  * a timeout that fires while the job is still queued reports
 //    executed == false (no executor ever saw it).
 #include <gtest/gtest.h>
@@ -72,8 +68,6 @@ ServerReport RunSharedOperandWorkload(const SharedOperandWorkload& w,
   if (results != nullptr) {
     for (auto& f : futures) results->push_back(f.get());
   }
-  EXPECT_EQ(server.arbiter().reserved_bytes(), 0);
-  EXPECT_EQ(server.arbiter().unreserve_underflows(), 0);
   return server.Report();
 }
 
@@ -178,7 +172,7 @@ TEST(ServeBatching, ExtractIfPeelsMatchesInOrderAndKeepsOthers) {
   EXPECT_EQ(*queue.Pop(), 54);
 }
 
-// --- reservation accounting -------------------------------------------------
+// --- lease accounting -------------------------------------------------------
 
 TEST(ServeReservations, LedgerBalancesToZeroAfterMixedWorkload) {
   vgpu::Device device(vgpu::ScaledV100Properties(14));
@@ -187,7 +181,7 @@ TEST(ServeReservations, LedgerBalancesToZeroAfterMixedWorkload) {
   config.scheduler.num_workers = 2;
   SpgemmServer server(device, pool, config);
 
-  // Mixed routes: explicit CPU (never touches the ledger), explicit GPU,
+  // Mixed routes: explicit CPU (never leases the device), explicit GPU,
   // auto small and auto large (hybrid) jobs, several of each.
   auto small = Shared(testutil::RandomCsr(48, 48, 3.0, 80));
   auto big = Shared(testutil::RandomRmat(9, 8.0, 81));
@@ -208,68 +202,8 @@ TEST(ServeReservations, LedgerBalancesToZeroAfterMixedWorkload) {
     ASSERT_TRUE(r.ok()) << r.status.ToString();
   }
 
-  // The fix under test: CPU-routed jobs used to Unreserve bytes they never
-  // reserved, draining the ledger below zero (masked by clamping).  Now
-  // reservations balance exactly and no underflow was ever clamped.
-  EXPECT_EQ(server.arbiter().reserved_bytes(), 0);
-  EXPECT_EQ(server.arbiter().unreserve_underflows(), 0);
-}
-
-TEST(ServeReservations, AutoJobDegradesToCpuOnReserveShortfall) {
-  vgpu::Device device(vgpu::ScaledV100Properties(14));
-  ThreadPool pool(2);
-  ServerConfig config;
-  config.scheduler.num_workers = 1;
-  SpgemmServer server(device, pool, config);
-
-  // Claim the entire device up front so every scheduler TryReserve fails.
-  const std::int64_t capacity = device.capacity();
-  ASSERT_TRUE(server.arbiter().TryReserve(capacity));
-
-  auto big = Shared(testutil::RandomRmat(9, 8.0, 90));
-  JobResult r = server.Submit({big, big, {}}).get();  // kAuto, multi-chunk
-  ASSERT_TRUE(r.ok()) << r.status.ToString();
-  EXPECT_EQ(r.metrics.executor, core::ExecutionMode::kCpuOnly);
-  EXPECT_TRUE(testutil::CsrNear(r.c, kernels::ReferenceSpgemm(*big, *big)));
-
-  ServerReport report = server.Report();
-  EXPECT_GE(report.reserve_shortfalls, 1);
-  EXPECT_EQ(report.device_oom_failures, 0);
-
-  server.arbiter().Unreserve(capacity);
-  EXPECT_EQ(server.arbiter().reserved_bytes(), 0);
-  EXPECT_EQ(server.arbiter().unreserve_underflows(), 0);
-}
-
-TEST(ServeReservations, ExplicitGpuJobFailsLoudlyOnReserveShortfall) {
-  vgpu::Device device(vgpu::ScaledV100Properties(14));
-  ThreadPool pool(2);
-  ServerConfig config;
-  config.scheduler.num_workers = 1;
-  config.scheduler.reserve_wait_seconds = 0.01;  // keep the test fast
-  config.scheduler.reserve_poll_seconds = 0.001;
-  SpgemmServer server(device, pool, config);
-
-  const std::int64_t capacity = device.capacity();
-  ASSERT_TRUE(server.arbiter().TryReserve(capacity));
-
-  auto big = Shared(testutil::RandomRmat(9, 8.0, 91));
-  SpgemmJob job{big, big, {}};
-  job.options.mode = core::ExecutionMode::kGpuOutOfCore;
-  JobResult r = server.Submit(std::move(job)).get();
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(r.metrics.outcome, JobOutcome::kFailed);
-  EXPECT_GE(server.Report().reserve_shortfalls, 1);
-
-  // Freeing the stale reservation unblocks the same request.
-  server.arbiter().Unreserve(capacity);
-  SpgemmJob retry{big, big, {}};
-  retry.options.mode = core::ExecutionMode::kGpuOutOfCore;
-  JobResult ok = server.Submit(std::move(retry)).get();
-  ASSERT_TRUE(ok.ok()) << ok.status.ToString();
-  EXPECT_EQ(server.arbiter().reserved_bytes(), 0);
-  EXPECT_EQ(server.arbiter().unreserve_underflows(), 0);
+  // Every lease was returned: the device is free again.
+  EXPECT_TRUE(server.device_pool().TryAcquire().held());
 }
 
 // --- queued timeouts --------------------------------------------------------
@@ -301,8 +235,6 @@ TEST(ServeTimeouts, QueuedExpiryReportsNotExecuted) {
   ServerReport report = server.Report();
   EXPECT_GE(report.timed_out, 1);
   EXPECT_GE(report.timed_out_in_queue, 1);
-  EXPECT_EQ(server.arbiter().reserved_bytes(), 0);
-  EXPECT_EQ(server.arbiter().unreserve_underflows(), 0);
 }
 
 }  // namespace

@@ -4,9 +4,11 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "test_util.hpp"
 
@@ -133,6 +135,51 @@ TEST_F(IoTest, BinaryRejectsTruncation) {
   std::filesystem::resize_file(Path("t.bin"),
                                std::filesystem::file_size(Path("t.bin")) / 2);
   EXPECT_FALSE(ReadBinary(Path("t.bin")).ok());
+}
+
+// Crafted headers: the readers must answer with a Status, never wrap a
+// dimension into int32 or size an array from a count the file cannot hold.
+
+TEST_F(IoTest, RejectsDimensionsPastTheIndexRange) {
+  // 4294967297 = 2^32 + 1 would wrap to a 1-row matrix.
+  WriteFile("wide.mtx",
+            "%%MatrixMarket matrix coordinate real general\n"
+            "4294967297 4 1\n"
+            "1 1 1.0\n");
+  EXPECT_FALSE(ReadMatrixMarket(Path("wide.mtx")).ok());
+}
+
+TEST_F(IoTest, OversizedEntryCountFailsWithoutAllocating) {
+  WriteFile("huge.mtx",
+            "%%MatrixMarket matrix coordinate real general\n"
+            "4 4 1000000000000000000\n"
+            "1 1 1.0\n");
+  auto m = ReadMatrixMarket(Path("huge.mtx"));
+  EXPECT_FALSE(m.ok());
+}
+
+/// A binary file with a valid magic, the given header and `payload`.
+void WriteBinaryHeader(const std::string& path, std::int64_t rows,
+                       std::int64_t cols, std::int64_t nnz,
+                       const std::vector<std::int64_t>& payload) {
+  const std::int64_t dims[3] = {rows, cols, nnz};
+  std::ofstream out(path, std::ios::binary);
+  out.write("OOCCSR01", 8);
+  out.write(reinterpret_cast<const char*>(dims), sizeof(dims));
+  out.write(reinterpret_cast<const char*>(payload.data()),
+            static_cast<std::streamsize>(payload.size() * sizeof(payload[0])));
+}
+
+TEST_F(IoTest, BinaryRejectsDimensionsPastTheIndexRange) {
+  // One empty row; 2^32 + 4 columns would wrap to 4.
+  WriteBinaryHeader(Path("wide.bin"), 1, (1ll << 32) + 4, 0, {0, 0});
+  EXPECT_FALSE(ReadBinary(Path("wide.bin")).ok());
+}
+
+TEST_F(IoTest, BinaryOversizedEntryCountFailsWithoutAllocating) {
+  WriteBinaryHeader(Path("huge.bin"), 4, 4, 1000000000000000000ll,
+                    {0, 0, 0, 0, 1, 0});
+  EXPECT_FALSE(ReadBinary(Path("huge.bin")).ok());
 }
 
 TEST_F(IoTest, EmptyMatrixRoundTrips) {
