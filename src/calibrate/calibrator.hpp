@@ -58,7 +58,9 @@ struct CalibratorConfig {
   double interval_seconds = 0.0;
   FitConfig fit;
   /// Static reference rates the fits are gated against and compared to.
-  ExecRates static_rates = StaticExecRates();
+  // CostModel{} is the default argument spelled out: GCC 12 misreports the
+  // defaulted temporary as dangling wherever this initializer is inlined.
+  ExecRates static_rates = StaticExecRates(kernels::CostModel{});
 };
 
 class CostModelCalibrator {

@@ -6,6 +6,16 @@
 
 namespace oocgemm::fleet {
 
+/// Seed of the kRandom policy's generator (deterministic baseline).
+constexpr std::uint64_t kRandomSeed = 0x5eedull;
+/// A shard whose queue depth is at or past this fraction of capacity is
+/// skipped at routing time (the job goes to the next ring successor).
+constexpr double kQueuePressureLimit = 0.95;
+/// Threads delivering shard results to caller futures and re-routing
+/// failures.  Dedicated threads, not the shared ThreadPool: couriers block
+/// on futures, and the pool's workers run executor stages.
+constexpr int kCourierThreads = 2;
+
 const char* RoutingPolicyName(RoutingPolicy policy) {
   switch (policy) {
     case RoutingPolicy::kAffinity: return "affinity";
@@ -20,7 +30,7 @@ FleetRouter::FleetRouter(std::vector<std::vector<vgpu::Device*>> shard_devices,
       ring_(static_cast<int>(shard_devices.size()),
             config_.vnodes_per_shard),
       tracker_(config_.replication),
-      rng_(config_.random_seed) {
+      rng_(kRandomSeed) {
   shards_.reserve(shard_devices.size());
   for (std::size_t i = 0; i < shard_devices.size(); ++i) {
     serve::ServerConfig shard_config = config_.shard;
@@ -61,9 +71,8 @@ FleetRouter::FleetRouter(std::vector<std::vector<vgpu::Device*>> shard_devices,
                                   "Shards behind the fleet router");
   metrics_.shards->Set(static_cast<std::int64_t>(shards_.size()));
 
-  const int couriers = std::max(1, config_.courier_threads);
-  couriers_.reserve(static_cast<std::size_t>(couriers));
-  for (int c = 0; c < couriers; ++c) {
+  couriers_.reserve(kCourierThreads);
+  for (int c = 0; c < kCourierThreads; ++c) {
     couriers_.emplace_back([this] { CourierLoop(); });
   }
 }
@@ -102,7 +111,7 @@ int FleetRouter::NextUntriedShard(std::uint64_t key,
     if (std::find(tried.begin(), tried.end(), s) != tried.end()) continue;
     if (first_untried < 0) first_untried = s;
     if (shards_[static_cast<std::size_t>(s)]->Probe().Routable(
-            config_.queue_pressure_limit)) {
+            kQueuePressureLimit)) {
       return s;
     }
   }
@@ -142,7 +151,7 @@ std::future<serve::JobResult> FleetRouter::Submit(serve::SpgemmJob job) {
   // Probe the placement; a dead or saturated first choice is skipped for
   // the next routable ring successor before the job ever queues.
   if (!shards_[static_cast<std::size_t>(target)]->Probe().Routable(
-          config_.queue_pressure_limit)) {
+          kQueuePressureLimit)) {
     const int fallback = NextUntriedShard(key, {target});
     if (fallback >= 0) {
       std::unique_lock<std::mutex> lock(mutex_);

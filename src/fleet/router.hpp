@@ -57,16 +57,6 @@ struct FleetConfig {
   int vnodes_per_shard = ConsistentHashRing::kDefaultVnodesPerShard;
   /// Replication factor and EWMA knobs of the hot-operand tracker.
   ReplicationConfig replication;
-  /// Seed of the kRandom policy's generator (deterministic baseline).
-  std::uint64_t random_seed = 0x5eedull;
-
-  /// A shard whose queue depth is at or past this fraction of capacity is
-  /// skipped at routing time (the job goes to the next ring successor).
-  double queue_pressure_limit = 0.95;
-  /// Threads delivering shard results to caller futures and re-routing
-  /// failures.  Dedicated threads, not the shared ThreadPool: couriers
-  /// block on futures, and the pool's workers run executor stages.
-  int courier_threads = 2;
 };
 
 class FleetRouter {

@@ -1,8 +1,10 @@
 // Periodic exporter thread: scrapes a MetricsRegistry on an interval and
 // writes the Prometheus and/or JSON serialization to files (atomically, so
 // an external scraper tailing the path never reads a torn snapshot).
-// SpgemmServer owns one when ServerConfig::metrics_path is set; the CLI
-// exposes it as `serve --metrics-out=<path> --metrics-interval=<s>`.
+// A process runs at most one, around whatever it serves: `oocgemm_cli serve
+// --metrics-out=<path> --metrics-interval=<s>` starts it before the first
+// submission and stops it after the server or fleet router shut down, so
+// the files end at the terminal state.
 #pragma once
 
 #include <atomic>

@@ -14,6 +14,9 @@ using sparse::value_t;
 
 namespace {
 
+/// Search bound on the panel count per dimension.
+constexpr int kMaxPanelsPerDim = 256;
+
 std::int64_t Align(std::int64_t v) { return (v + 255) / 256 * 256; }
 
 /// Device bytes of a CSR panel with `rows` rows and `nnz` entries,
@@ -188,7 +191,7 @@ StatusOr<PanelPlan> PlanPanels(const sparse::Csr& a, const sparse::Csr& b,
         std::min(options.forced_col_panels, std::max(1, b.cols())));
   } else {
     for (int nc = 1;
-         nc <= options.max_panels_per_dim && nc <= std::max(1, b.cols());
+         nc <= kMaxPanelsPerDim && nc <= std::max(1, b.cols());
          nc *= 2) {
       col_candidates.push_back(nc);
     }
@@ -197,7 +200,7 @@ StatusOr<PanelPlan> PlanPanels(const sparse::Csr& a, const sparse::Csr& b,
   for (int nc : col_candidates) {
     PanelBoundaries cb = UniformBoundaries(b.cols(), nc);
     const int max_nr =
-        std::min<int>(options.max_panels_per_dim, std::max(1, a.rows()));
+        std::min<int>(kMaxPanelsPerDim, std::max(1, a.rows()));
 
     // Estimate mode hoists the O(nnz(B)) column sweep out of the row
     // search: every probe below is then O(rows + nr * nc).

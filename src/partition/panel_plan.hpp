@@ -27,8 +27,6 @@ struct PlanOptions {
   double capacity_fraction = 0.9;
   /// Number of concurrently live chunk working sets (2 = double buffering).
   int buffers = 2;
-  /// Search bound per dimension.
-  int max_panels_per_dim = 256;
   /// Output pools are sized `nnz_safety_factor` x the sampled-symbolic
   /// chunk-nnz estimate (capped by the worst-case bound).  Executors retry
   /// with a doubled factor if a chunk overflows its pool at run time.

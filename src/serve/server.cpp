@@ -1,5 +1,7 @@
 #include "serve/server.hpp"
 
+#include "obs/metrics.hpp"
+
 namespace oocgemm::serve {
 
 SpgemmServer::SpgemmServer(vgpu::Device& device, ThreadPool& pool,
@@ -22,14 +24,6 @@ SpgemmServer::SpgemmServer(std::vector<vgpu::Device*> devices,
   queue_.set_depth_gauge(&obs::MetricsRegistry::Default().GetGauge(
       "oocgemm_serve_queue_depth", queue_labels,
       "Jobs waiting in the bounded priority queue"));
-  if (!config_.metrics_path.empty()) {
-    obs::Snapshotter::Options opts;
-    opts.interval_seconds = config_.metrics_interval_seconds;
-    opts.prometheus_path = config_.metrics_path;
-    opts.json_path = config_.metrics_path + ".json";
-    snapshotter_ = std::make_unique<obs::Snapshotter>(
-        obs::MetricsRegistry::Default(), std::move(opts));
-  }
   scheduler_.set_on_job_done([this] {
     std::unique_lock<std::mutex> lock(pending_mutex_);
     if (--pending_ == 0) pending_cv_.notify_all();
@@ -158,11 +152,9 @@ void SpgemmServer::Shutdown() {
   }
   scheduler_.Stop();  // drains the queue: every accepted job resolves
   // Calibrator after the scheduler: its final tick folds in the last jobs'
-  // traffic, and the snapshotter below then exports the final fitted state.
+  // traffic, so a metrics exporter stopped after Shutdown sees the final
+  // fitted state.
   if (calibrator_ != nullptr) calibrator_->Stop();
-  // Final snapshot after the scheduler quiesced: the exported files end at
-  // the terminal counter state the reconciliation checks compare against.
-  if (snapshotter_ != nullptr) snapshotter_->Stop();
 }
 
 ShardProbe SpgemmServer::Probe() const {

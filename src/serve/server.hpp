@@ -28,12 +28,12 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "calibrate/calibrator.hpp"
 #include "common/thread_pool.hpp"
 #include "core/device_pool.hpp"
-#include "obs/snapshotter.hpp"
 #include "serve/admission.hpp"
 #include "serve/job.hpp"
 #include "serve/job_queue.hpp"
@@ -58,13 +58,6 @@ struct ServerConfig {
   estimate::EstimatorOptions estimator;
   /// Applied when a job's own timeout_seconds is 0.
   double default_timeout_seconds = 0.0;
-
-  /// When non-empty, a background snapshotter writes the process metrics
-  /// registry to this path in Prometheus text format — and to the same
-  /// path + ".json" in JSON — every metrics_interval_seconds, plus one
-  /// final write during Shutdown.
-  std::string metrics_path;
-  double metrics_interval_seconds = 0.5;
 
   /// When non-empty, per-instance metrics (the queue-depth gauge) carry a
   /// {"shard": instance_label} label instead of sharing the process-wide
@@ -137,8 +130,6 @@ class SpgemmServer {
   core::DevicePool& device_pool() { return devices_; }
   const core::DevicePool& device_pool() const { return devices_; }
   const ServerConfig& config() const { return config_; }
-  /// Non-null while metrics_path is configured (tests use WriteNow()).
-  obs::Snapshotter* snapshotter() { return snapshotter_.get(); }
   /// Non-null while calibrate.mode != kOff (tests drive TickNow()).
   calibrate::CostModelCalibrator* calibrator() { return calibrator_.get(); }
 
@@ -152,7 +143,6 @@ class SpgemmServer {
   AdmissionController admission_;
   JobQueue queue_;
   Scheduler scheduler_;
-  std::unique_ptr<obs::Snapshotter> snapshotter_;
   std::unique_ptr<calibrate::CostModelCalibrator> calibrator_;
 
   std::atomic<std::uint64_t> next_id_{1};

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -116,7 +117,15 @@ StatusOr<Csr> ReadMatrixMarket(const std::string& path) {
       coo.Add(static_cast<index_t>(c - 1), static_cast<index_t>(r - 1), v);
     }
   }
-  return CooToCsr(coo);
+  // CooToCsr sizes per-row arrays from the header, which can lie inside
+  // index_t and still past host memory.
+  try {
+    return CooToCsr(coo);
+  } catch (const std::bad_alloc&) {
+    return Status::ResourceExhausted("no host memory for a " +
+                                     std::to_string(rows) + " x " +
+                                     std::to_string(cols) + " matrix: " + path);
+  }
 }
 
 Status WriteMatrixMarket(const Csr& a, const std::string& path) {

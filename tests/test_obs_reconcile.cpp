@@ -20,6 +20,7 @@
 
 #include "core/executors.hpp"
 #include "obs/metrics.hpp"
+#include "obs/snapshotter.hpp"
 #include "serve/server.hpp"
 #include "test_util.hpp"
 #include "vgpu/fault_injector.hpp"
@@ -108,14 +109,18 @@ TEST(MetricsReconcile, FaultInjectedServeRunMatchesServerReport) {
   serve::ServerConfig config;
   config.scheduler.num_workers = kDevices + 1;
   config.max_queue = 64;
-  config.metrics_path = testing::TempDir() + "reconcile_serve.prom";
-  config.metrics_interval_seconds = 0.01;
+  const std::string metrics_path = testing::TempDir() + "reconcile_serve.prom";
 
   const obs::RegistrySnapshot before = reg.Snapshot();
   std::vector<std::shared_ptr<const Csr>> as;
   std::vector<std::future<serve::JobResult>> futures;
   std::int64_t device_failures_total = 0;
   {
+    obs::Snapshotter::Options export_options;
+    export_options.interval_seconds = 0.01;
+    export_options.prometheus_path = metrics_path;
+    export_options.json_path = metrics_path + ".json";
+    obs::Snapshotter snapshotter(reg, std::move(export_options));
     serve::SpgemmServer server(devices, pool, config);
 
     // Pin every lane, then free only the victim: the probe job must land
@@ -188,12 +193,12 @@ TEST(MetricsReconcile, FaultInjectedServeRunMatchesServerReport) {
     EXPECT_EQ(lat_after->count - (lat_before ? lat_before->count : 0),
               report.completed);
 
-    ASSERT_NE(server.snapshotter(), nullptr);
-    server.Shutdown();  // lands the terminal snapshot files
+    server.Shutdown();
+    snapshotter.Stop();  // lands the terminal snapshot files
   }
 
   // The exported exposition files carry the terminal state.
-  const std::string prom = ReadFile(config.metrics_path);
+  const std::string prom = ReadFile(metrics_path);
   EXPECT_NE(prom.find("oocgemm_serve_jobs_completed_total"),
             std::string::npos);
   // The registry is process-wide, so earlier tests in the same process may
@@ -202,11 +207,11 @@ TEST(MetricsReconcile, FaultInjectedServeRunMatchesServerReport) {
                       std::to_string(device_failures_total)),
             std::string::npos)
       << prom.substr(0, 400);
-  const std::string json = ReadFile(config.metrics_path + ".json");
+  const std::string json = ReadFile(metrics_path + ".json");
   EXPECT_NE(json.find("\"name\":\"oocgemm_serve_latency_seconds\""),
             std::string::npos);
-  std::remove(config.metrics_path.c_str());
-  std::remove((config.metrics_path + ".json").c_str());
+  std::remove(metrics_path.c_str());
+  std::remove((metrics_path + ".json").c_str());
 }
 
 /// Delta of a per-device vgpu counter, summed over devices 0..count-1.

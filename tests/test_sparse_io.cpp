@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <vector>
@@ -156,6 +159,31 @@ TEST_F(IoTest, OversizedEntryCountFailsWithoutAllocating) {
             "1 1 1.0\n");
   auto m = ReadMatrixMarket(Path("huge.mtx"));
   EXPECT_FALSE(m.ok());
+}
+
+// A header inside index_t but past host memory: CooToCsr cannot allocate
+// its per-row arrays (16 GB here), and the reader must say so in a Status.
+// The read runs in a child process under an 8 GiB address-space limit,
+// which sanitizers exceed up front.
+TEST_F(IoTest, RowsPastHostMemoryAreResourceExhausted) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "needs an address-space limit";
+#endif
+  WriteFile("tall.mtx",
+            "%%MatrixMarket matrix coordinate real general\n"
+            "2000000000 4 1\n"
+            "1 1 1.0\n");
+  const std::string path = Path("tall.mtx");
+  EXPECT_EXIT(
+      {
+        rlimit limit{};
+        getrlimit(RLIMIT_AS, &limit);
+        limit.rlim_cur = std::min<rlim_t>(limit.rlim_max, 8ull << 30);
+        if (setrlimit(RLIMIT_AS, &limit) != 0) std::_Exit(2);
+        const StatusOr<Csr> m = ReadMatrixMarket(path);
+        std::_Exit(m.status().code() == StatusCode::kResourceExhausted ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 /// A binary file with a valid magic, the given header and `payload`.

@@ -4,78 +4,52 @@
 //   oocgemm_cli analyze a.mtx [b.mtx]
 //   oocgemm_cli multiply a.mtx [b.mtx] --executor=hybrid --device-mem=16
 //               [--ratio=0.67] [--out=c.mtx] [--trace=run.json] [--verify]
-//   oocgemm_cli serve --jobs=64 [--load=0] [--workers=4] [--queue=64]
-//               [--batch=1] [--devices=1] [--span=1] [--device-mem=1]
-//               [--timeout=0] [--seed=1] [--report=r.json]
-//               [--fault-spec=dev1:kernel:nth=40] [--fault-seed=1]
-//               [--metrics-out=m.prom] [--metrics-interval=0.5]
-//               [--admission=exact|estimate] [--estimator-seed=S]
-//               [--estimator-sample=F] [--kernel=auto|hash|dense|sort|merge]
-//               [--shards=N] [--replication=R] [--route=affinity|random]
+//   oocgemm_cli serve --jobs=64 --devices=2 --verify --metrics-out=m.prom
+//   oocgemm_cli serve --shards=3 --replication=2 --jobs=48 --verify
 //
-// `multiply` squares `a.mtx` when no second matrix is given (the paper's
-// C = A x A convention).  --device-mem is the virtual device memory in MiB.
-// `serve` drives the multi-tenant serving runtime with a synthetic
-// open-loop workload: --load is the offered arrival rate in jobs per
-// virtual second (0 = submit the whole batch at t=0) and --report writes
-// the ServerReport JSON.  --batch=N enables operand-aware batching (up to
-// N queued jobs sharing a B operand execute as one device batch) and
-// switches the workload to shared-operand form: every job draws its B
-// from a small common pool so batches can actually form.  --devices=D
-// serves the workload from a pool of D identical virtual GPUs (one
-// scheduler lane each; the report gains a per-device section), and
-// --span=M lets one multi-chunk hybrid job span up to M free devices.
-// --fault-spec installs a deterministic FaultInjector on the named pool
-// devices: each comma-separated rule is `dev<K>:` followed by a
-// vgpu::FaultSpec rule (site, trigger, action — see fault_injector.hpp),
-// e.g. `dev1:kernel:nth=40` kills device 1 at its 40th kernel launch and
-// exercises the scheduler's failover path.  --fault-seed seeds the fault
-// schedule; the same seed reproduces the same schedule exactly.
-// --metrics-out=PATH exports the live metrics registry: Prometheus text at
-// PATH and JSON at PATH.json, rewritten every --metrics-interval seconds
-// while serving plus once at shutdown (see src/obs/).
-// --admission=estimate prices submissions with the OCEAN-style sampling
-// estimator (src/estimate/) instead of the exact analysis pass, falling
-// back to exact per job when the sample's variance check fails;
-// --estimator-seed seeds the sampling draws (same seed, same estimates)
-// and --estimator-sample overrides the row-sample fraction (default 0.05).
-// --kernel forces one accumulator strategy on every served job's SpGEMM
-// kernels (hash, dense, sort = gather-then-sort, merge = binary row
-// merging); the default `auto` routes per row group through the kernel
-// registry's cost model (see src/kernels/kernel_registry.hpp).
-// --calibrate=observe fits live device/CPU rates from the metrics registry
-// (exported as oocgemm_calibrate_*) while every decision stays static;
-// --calibrate=apply additionally feeds the fitted model into admission
-// latency pricing, the hybrid split, placement tie-breaks and kernel
-// routing (see src/calibrate/).  --calibrate-interval sets the fit tick
-// period in wall seconds (default 0.05 when calibrating).  --ratio forces
-// one hybrid GPU work fraction on every served job.
-// Serve flags are validated up front: an unknown --route, --admission,
-// --kernel or --calibrate value, a --ratio outside (0, 1), a non-positive
-// --calibrate-interval, or a non-positive --shards or --replication,
-// prints the usage text and exits nonzero instead of being silently
-// clamped.
-// --shards=N (N >= 2) serves through the fleet router instead of a single
-// server: N in-process shards of --devices GPUs each, consistent-hash
-// B-operand placement (--route=affinity, the default) or a uniform random
-// baseline (--route=random), and --replication=R spreading hot operands
-// over R ring successors.  The workload switches to shared-operand form
-// with per-job tenants ("tenant-0".."tenant-3") and explicit out-of-core
-// device jobs so placement is the lever being exercised.  --fault-spec
-// device indices are global: dev<K> is shard K/D, local device K%D for
-// --devices=D per shard — `--shards=3 --fault-spec=dev1:kernel:nth=6:kill`
-// kills shard 1's only device and exercises cross-shard failover.
-// --report writes the FleetReport JSON (per-shard sections included); the
-// exit code is nonzero if any device OOM slipped through or the fleet
-// totals fail to reconcile with the per-shard reports.
+// Every subcommand has one flag table (Commands() below) holding each
+// flag's name, type, default, valid values and help line; the parser and
+// the usage text are both built from it.  An unknown flag (`--help`
+// included), a value that does not parse in full or lies outside its range
+// or choice list, a value on a presence flag, a repeated flag, a flag
+// without the one it needs (`--route` and `--replication` need `--shards`,
+// `--metrics-interval` needs `--metrics-out`, `--fault-seed` needs
+// `--fault-spec`) and a stray positional argument each print the usage and
+// exit 2.
+//
+// `multiply` squares a.mtx when no second matrix is given (the paper's
+// C = A x A convention); files ending in .bin use the binary format.
+//
+// `serve` runs a seeded synthetic workload through the serving runtime and
+// exits 1 if a job fails verification or hits a device OOM, if a fleet
+// report does not reconcile with its shard reports, or if --report or
+// --metrics-out cannot be written.  The workload is one of three shapes:
+//   - mixed squarings (5/8 small ER, 2/8 medium R-MAT, 1/8 large R-MAT);
+//   - with --batch > 1, ER A operands against 2 shared R-MAT B operands,
+//     so same-operand batches can form;
+//   - with --shards, ER A operands against 4 shared B operands as explicit
+//     out-of-core device jobs of 4 tenants, so placement is the lever.
+// With --shards=N, a FleetRouter serves N shards of --devices GPUs each,
+// every shard built from the same server configuration as a lone server.
+// --fault-spec device indices are global and shard-major: dev<K> is shard
+// K/D, device K%D, so `--shards=3 --fault-spec=dev1:kernel:nth=6:kill`
+// kills shard 1's only device.  Each rule after `dev<K>:` is a
+// vgpu::FaultSpec rule (see fault_injector.hpp), seeded --fault-seed + K.
+// --metrics-out starts the process's one metrics exporter before the first
+// submission and stops it after the server or router shut down, so the
+// files end at the terminal state in either mode (see src/obs/).
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <future>
+#include <initializer_list>
+#include <limits>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -87,6 +61,8 @@
 #include "fleet/router.hpp"
 #include "kernels/kernel_registry.hpp"
 #include "kernels/reference_spgemm.hpp"
+#include "obs/metrics.hpp"
+#include "obs/snapshotter.hpp"
 #include "serve/server.hpp"
 #include "sparse/analysis.hpp"
 #include "sparse/generators.hpp"
@@ -99,121 +75,271 @@ namespace {
 
 using namespace oocgemm;
 
-struct Args {
-  std::vector<std::string> positional;
-  std::map<std::string, std::string> flags;
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
-  std::string Flag(const std::string& name, const std::string& dflt) const {
-    auto it = flags.find(name);
-    return it == flags.end() ? dflt : it->second;
+// Valid values of a numeric flag: lo..hi, each end closed unless marked open.
+struct Range {
+  double lo = -kInf;
+  double hi = kInf;
+  bool lo_open = false;
+  bool hi_open = false;
+
+  bool Holds(double v) const {
+    return (lo_open ? v > lo : v >= lo) && (hi_open ? v < hi : v <= hi);
   }
-  double FlagD(const std::string& name, double dflt) const {
-    auto it = flags.find(name);
-    return it == flags.end() ? dflt : std::atof(it->second.c_str());
+  std::string ToString() const {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%c%g, %g%c", lo_open ? '(' : '[', lo, hi,
+                  hi_open || std::isinf(hi) ? ')' : ']');
+    return buf;
   }
-  bool Has(const std::string& name) const { return flags.count(name) > 0; }
 };
 
-Args Parse(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    std::string s = argv[i];
-    if (s.rfind("--", 0) == 0) {
-      const auto eq = s.find('=');
-      if (eq == std::string::npos) {
-        args.flags[s.substr(2)] = "1";
-      } else {
-        args.flags[s.substr(2, eq - 2)] = s.substr(eq + 1);
-      }
-    } else {
-      args.positional.push_back(s);
+constexpr Range kCount{1, kInf};
+constexpr Range kNonNeg{0, kInf};
+// Wall-clock periods stay far inside what a steady_clock duration holds.
+constexpr Range kSeconds{0, 86400};
+// Each device's memory is a host arena of that size.
+constexpr Range kDeviceMib{0, 4096, true};
+// Algorithm 4's GPU flop share S/(S+1).
+constexpr Range kGpuShare{0, 1, true, true};
+
+// One flag of one subcommand.
+struct Flag {
+  enum Type { kInt, kSeed, kReal, kText, kChoice, kPresence };
+  const char* name;
+  Type type;
+  const char* dflt;  // as typed on the command line; nullptr: none
+  const char* help;
+  Range range = {};                       // kInt, kReal
+  std::vector<std::string> choices = {};  // kChoice
+  const char* needs = nullptr;            // a flag that must come with it
+};
+
+class Args;
+
+struct Command {
+  const char* name;
+  const char* operands;  // positional arguments, as the usage shows them
+  std::size_t min_operands;
+  std::size_t max_operands;
+  int (*run)(const Args&);
+  std::vector<Flag> flags;
+
+  const Flag* Find(const std::string& flag) const {
+    for (const Flag& f : flags) {
+      if (flag == f.name) return &f;
     }
+    return nullptr;
   }
-  return args;
+};
+
+template <typename T>
+bool ParseNumber(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
 }
 
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage:\n"
-      "  oocgemm_cli generate --kind=rmat|er|banded --scale=N "
-      "[--edge-factor=F] [--seed=S] --out=FILE\n"
-      "  oocgemm_cli analyze A.mtx [B.mtx]\n"
-      "  oocgemm_cli multiply A.mtx [B.mtx] [--executor=async|sync|hybrid|"
-      "cpu] [--device-mem=MiB] [--ratio=R] [--out=C.mtx] [--trace=T.json] "
-      "[--verify]\n"
-      "  oocgemm_cli serve [--jobs=N] [--load=JOBS_PER_VSEC] [--workers=W] "
-      "[--queue=Q] [--batch=B] [--devices=D] [--span=M] [--device-mem=MiB] "
-      "[--timeout=SEC] [--seed=S] [--ratio=R] [--report=R.json] [--verify] "
-      "[--fault-spec=dev<K>:<rule>[,...]] [--fault-seed=S] "
-      "[--metrics-out=M.prom] [--metrics-interval=SEC] "
-      "[--admission=exact|estimate] [--estimator-seed=S] "
-      "[--estimator-sample=F] [--kernel=auto|hash|dense|sort|merge] "
-      "[--calibrate=off|observe|apply] [--calibrate-interval=SEC] "
-      "[--shards=N] [--replication=R] [--route=affinity|random]\n");
+std::string Join(const std::vector<std::string>& choices) {
+  std::string out;
+  for (const std::string& c : choices) out += (out.empty() ? "" : "|") + c;
+  return out;
+}
+
+// Why `value` is no value of `flag`; empty when it is one.
+std::string Invalid(const Flag& flag, const std::string& value) {
+  double v = 0;
+  switch (flag.type) {
+    case Flag::kSeed: {
+      std::uint64_t seed = 0;
+      return ParseNumber(value, &seed) ? "" : "want an unsigned integer";
+    }
+    case Flag::kInt: {
+      int i = 0;
+      if (!ParseNumber(value, &i)) return "want an integer";
+      v = i;
+      break;
+    }
+    case Flag::kReal:
+      if (!ParseNumber(value, &v) || !std::isfinite(v)) return "want a number";
+      break;
+    case Flag::kText:
+      return value.empty() ? "want a value" : "";
+    case Flag::kChoice:
+      for (const std::string& c : flag.choices) {
+        if (value == c) return "";
+      }
+      return "want one of " + Join(flag.choices);
+    case Flag::kPresence:
+      return "";
+  }
+  return flag.range.Holds(v) ? "" : "want a value in " + flag.range.ToString();
+}
+
+// A subcommand's operands and the flags given, checked against its table.
+class Args {
+ public:
+  explicit Args(const Command& command) : command(command) {}
+
+  // Checks argv[2..]; returns why it is not a valid command line, or "".
+  std::string Parse(int argc, char** argv) {
+    for (int i = 2; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg.rfind("--", 0) != 0) {
+        operands.push_back(arg);
+        continue;
+      }
+      const std::size_t eq = arg.find('=');
+      const bool bare = eq == arg.npos;
+      const std::string name = arg.substr(2, bare ? eq : eq - 2);
+      const Flag* flag = command.Find(name);
+      if (flag == nullptr) return "unknown flag --" + name;
+      if (Has(name)) return "--" + name + " given twice";
+      if ((flag->type == Flag::kPresence) != bare) {
+        return arg + (bare ? ": wants a value" : ": takes no value");
+      }
+      const std::string value = bare ? "" : arg.substr(eq + 1);
+      if (const std::string why = Invalid(*flag, value); !why.empty()) {
+        return arg + ": " + why;
+      }
+      given_[name] = value;
+    }
+    if (operands.size() > command.max_operands) {
+      return "unexpected argument '" + operands[command.max_operands] + "'";
+    }
+    if (operands.size() < command.min_operands) {
+      return std::string("want ") + command.operands;
+    }
+    for (const Flag& f : command.flags) {
+      if (f.needs != nullptr && Has(f.name) && !Has(f.needs)) {
+        return std::string("--") + f.name + " needs --" + f.needs;
+      }
+    }
+    return "";
+  }
+
+  bool Has(const std::string& name) const { return given_.count(name) > 0; }
+  // The given value, else the table's default (a flag without one must be
+  // given before it is read).
+  std::string Text(const std::string& name) const {
+    if (auto it = given_.find(name); it != given_.end()) return it->second;
+    const Flag* flag = command.Find(name);
+    OOC_CHECK(flag != nullptr && flag->dflt != nullptr);
+    return flag->dflt;
+  }
+  int Int(const std::string& name) const { return Number<int>(name); }
+  std::uint64_t Seed(const std::string& name) const {
+    return Number<std::uint64_t>(name);
+  }
+  double Real(const std::string& name) const { return Number<double>(name); }
+
+  const Command& command;
+  std::vector<std::string> operands;
+
+ private:
+  template <typename T>
+  T Number(const std::string& name) const {
+    T v{};
+    OOC_CHECK(ParseNumber(Text(name), &v));
+    return v;
+  }
+
+  std::map<std::string, std::string> given_;
+};
+
+const std::vector<Command>& Commands();
+
+void PrintUsage(const Command& cmd) {
+  std::fprintf(stderr, "  oocgemm_cli %s%s%s\n", cmd.name,
+               *cmd.operands ? " " : "", cmd.operands);
+  for (const Flag& f : cmd.flags) {
+    // Indexed by Flag::Type.
+    const char* const metavar[] = {"=N", "=SEED", "=X", "=TEXT", "=", ""};
+    std::string spec = std::string("--") + f.name + metavar[f.type];
+    if (f.type == Flag::kChoice) spec += Join(f.choices);
+    std::string help = f.help;
+    if (f.type == Flag::kInt || f.type == Flag::kReal) {
+      help.append("; in ").append(f.range.ToString());
+    }
+    if (f.dflt != nullptr) help.append("; default ").append(f.dflt);
+    std::fprintf(stderr, "      %-36s %s\n", spec.c_str(), help.c_str());
+  }
+}
+
+// Prints why the command line is wrong and the usage of `cmd` (of every
+// command when null); returns the usage-error exit code.
+int UsageError(const Command* cmd, const std::string& why) {
+  std::fprintf(stderr, "oocgemm_cli: %s\nusage:\n", why.c_str());
+  for (const Command& c : Commands()) {
+    if (cmd == nullptr || cmd == &c) PrintUsage(c);
+  }
   return 2;
 }
 
+int Fail(const Status& st) {
+  std::fprintf(stderr, "%s\n", st.ToString().c_str());
+  return 1;
+}
+
+bool IsBinary(const std::string& path) {
+  return path.size() > 4 && path.ends_with(".bin");
+}
+
 StatusOr<sparse::Csr> Load(const std::string& path) {
-  if (path.size() > 4 && path.substr(path.size() - 4) == ".bin") {
-    return sparse::ReadBinary(path);
+  return IsBinary(path) ? sparse::ReadBinary(path)
+                        : sparse::ReadMatrixMarket(path);
+}
+
+Status Save(const sparse::Csr& m, const std::string& path) {
+  return IsBinary(path) ? sparse::WriteBinary(m, path)
+                        : sparse::WriteMatrixMarket(m, path);
+}
+
+// The operands of analyze and multiply: B is A when only A is named.
+Status LoadOperands(const Args& args, sparse::Csr* a, sparse::Csr* b) {
+  for (std::size_t i = 0; i < args.operands.size(); ++i) {
+    StatusOr<sparse::Csr> m = Load(args.operands[i]);
+    if (!m.ok()) return m.status();
+    *(i == 0 ? a : b) = std::move(m.value());
   }
-  return sparse::ReadMatrixMarket(path);
+  if (args.operands.size() == 1) *b = *a;
+  return Status::Ok();
+}
+
+std::int64_t MiB(double mib) {
+  return static_cast<std::int64_t>(mib * (1 << 20));
 }
 
 int Generate(const Args& args) {
-  const std::string kind = args.Flag("kind", "rmat");
-  const int scale = static_cast<int>(args.FlagD("scale", 12));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.FlagD("seed", 1));
-  const std::string out = args.Flag("out", "");
-  if (out.empty()) return Usage();
-
-  sparse::Csr m;
-  if (kind == "rmat") {
-    sparse::RmatParams p;
-    p.scale = scale;
-    p.edge_factor = args.FlagD("edge-factor", 8.0);
-    p.seed = seed;
-    m = sparse::GenerateRmat(p);
-  } else if (kind == "er") {
-    sparse::ErdosRenyiParams p;
-    p.rows = p.cols = static_cast<sparse::index_t>(1) << scale;
-    p.avg_degree = args.FlagD("edge-factor", 8.0);
-    p.seed = seed;
-    m = sparse::GenerateErdosRenyi(p);
-  } else if (kind == "banded") {
-    sparse::BandedParams p;
-    p.n = static_cast<sparse::index_t>(1) << scale;
-    p.half_bandwidth =
-        static_cast<sparse::index_t>(args.FlagD("half-bandwidth", 8));
-    p.seed = seed;
-    m = sparse::GenerateBanded(p);
-  } else {
-    return Usage();
-  }
-  Status st = out.size() > 4 && out.substr(out.size() - 4) == ".bin"
-                  ? sparse::WriteBinary(m, out)
-                  : sparse::WriteMatrixMarket(m, out);
-  if (!st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 1;
-  }
-  std::printf("wrote %s: %s\n", out.c_str(), m.DebugString().c_str());
+  if (!args.Has("out")) return UsageError(&args.command, "--out is required");
+  const std::string kind = args.Text("kind");
+  const int scale = args.Int("scale");
+  const sparse::index_t n = sparse::index_t{1} << scale;
+  const double degree = args.Real("edge-factor");
+  const int band = args.Int("half-bandwidth");
+  const std::uint64_t seed = args.Seed("seed");
+  const sparse::Csr m =
+      kind == "rmat"
+          ? sparse::GenerateRmat(
+                {.scale = scale, .edge_factor = degree, .seed = seed})
+      : kind == "er"
+          ? sparse::GenerateErdosRenyi(
+                {.rows = n, .cols = n, .avg_degree = degree, .seed = seed})
+          : sparse::GenerateBanded(
+                {.n = n, .half_bandwidth = band, .seed = seed});
+  if (Status st = Save(m, args.Text("out")); !st.ok()) return Fail(st);
+  std::printf("wrote %s: %s\n", args.Text("out").c_str(),
+              m.DebugString().c_str());
   return 0;
 }
 
 int Analyze(const Args& args) {
-  if (args.positional.size() < 2) return Usage();
-  auto a = Load(args.positional[1]);
-  if (!a.ok()) {
-    std::fprintf(stderr, "%s\n", a.status().ToString().c_str());
-    return 1;
-  }
-  sparse::Csr b =
-      args.positional.size() > 2 ? Load(args.positional[2]).value() : a.value();
-  sparse::ProductStats s = sparse::AnalyzeProduct(a.value(), b);
+  sparse::Csr a, b;
+  if (Status st = LoadOperands(args, &a, &b); !st.ok()) return Fail(st);
+  sparse::ProductStats s = sparse::AnalyzeProduct(a, b);
   TablePrinter t({"property", "value"});
-  t.AddRow({"A", a->DebugString()});
+  t.AddRow({"A", a.DebugString()});
   t.AddRow({"B", b.DebugString()});
   t.AddRow({"flop(A*B)", HumanCount(static_cast<double>(s.flops))});
   t.AddRow({"nnz(A*B)", HumanCount(static_cast<double>(s.nnz_out))});
@@ -225,468 +351,212 @@ int Analyze(const Args& args) {
 }
 
 int Multiply(const Args& args) {
-  if (args.positional.size() < 2) return Usage();
-  auto a_or = Load(args.positional[1]);
-  if (!a_or.ok()) {
-    std::fprintf(stderr, "%s\n", a_or.status().ToString().c_str());
-    return 1;
-  }
-  sparse::Csr a = std::move(a_or.value());
-  sparse::Csr b = a;
-  if (args.positional.size() > 2) {
-    auto b_or = Load(args.positional[2]);
-    if (!b_or.ok()) {
-      std::fprintf(stderr, "%s\n", b_or.status().ToString().c_str());
-      return 1;
-    }
-    b = std::move(b_or.value());
-  }
+  sparse::Csr a, b;
+  if (Status st = LoadOperands(args, &a, &b); !st.ok()) return Fail(st);
 
-  const double mem_mib = args.FlagD("device-mem", 16.0);
   vgpu::DeviceProperties props = vgpu::ScaledV100Properties(10);
-  props.memory_bytes = static_cast<std::int64_t>(mem_mib * (1 << 20));
+  props.memory_bytes = MiB(args.Real("device-mem"));
   vgpu::Device device(props);
 
   ThreadPool pool;
   core::ExecutorOptions options;
-  options.gpu_ratio = args.FlagD("ratio", options.gpu_ratio);
+  options.gpu_ratio = args.Real("ratio");
 
-  const std::string executor = args.Flag("executor", "async");
-  StatusOr<core::RunResult> r = Status::Internal("unreachable");
-  if (executor == "async") {
-    r = core::AsyncOutOfCore(device, a, b, options, pool);
-  } else if (executor == "sync") {
-    r = core::SyncOutOfCore(device, a, b, options, pool);
-  } else if (executor == "hybrid") {
-    r = core::Hybrid(device, a, b, options, pool);
-  } else if (executor == "cpu") {
-    r = core::CpuMulticore(a, b, options, pool);
-  } else {
-    return Usage();
-  }
-  if (!r.ok()) {
-    std::fprintf(stderr, "multiply failed: %s\n", r.status().ToString().c_str());
-    return 1;
-  }
+  const std::string executor = args.Text("executor");
+  StatusOr<core::RunResult> r =
+      executor == "async"    ? core::AsyncOutOfCore(device, a, b, options, pool)
+      : executor == "sync"   ? core::SyncOutOfCore(device, a, b, options, pool)
+      : executor == "hybrid" ? core::Hybrid(device, a, b, options, pool)
+                             : core::CpuMulticore(a, b, options, pool);
+  if (!r.ok()) return Fail(r.status());
 
   std::printf("%s\n", r->stats.DebugString().c_str());
 
   if (args.Has("verify")) {
-    sparse::Csr expected = kernels::ReferenceSpgemm(a, b);
-    if (!r->c.ApproxEquals(expected)) {
+    if (!r->c.ApproxEquals(kernels::ReferenceSpgemm(a, b))) {
       std::fprintf(stderr, "VERIFY FAILED: result differs from reference\n");
       return 1;
     }
     std::printf("verify: OK\n");
   }
   if (args.Has("trace") && executor != "cpu") {
-    Status st = vgpu::WriteChromeTrace(device.trace(), args.Flag("trace", ""),
-                                       device.id());
-    if (!st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::printf("trace: %s\n", args.Flag("trace", "").c_str());
+    Status st =
+        vgpu::WriteChromeTrace(device.trace(), args.Text("trace"), device.id());
+    if (!st.ok()) return Fail(st);
+    std::printf("trace: %s\n", args.Text("trace").c_str());
   }
   if (args.Has("out")) {
-    const std::string out = args.Flag("out", "");
-    Status st = out.size() > 4 && out.substr(out.size() - 4) == ".bin"
-                    ? sparse::WriteBinary(r->c, out)
-                    : sparse::WriteMatrixMarket(r->c, out);
-    if (!st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", out.c_str());
+    if (Status st = Save(r->c, args.Text("out")); !st.ok()) return Fail(st);
+    std::printf("wrote %s\n", args.Text("out").c_str());
   }
   return 0;
 }
 
-// --fault-spec=dev1:kernel:nth=40,dev0:h2d:p=0.02:fail — group the
-// `dev<K>:`-prefixed rules per device and install one seeded injector on
-// each targeted device.  Indices are positions in `device_ptrs` (in the
-// fleet path, shard-major global indices).  Returns 0, or the process
-// exit code on a malformed spec.
+// --fault-spec=dev1:kernel:nth=40,dev0:h2d:p=0.02:fail: groups the
+// `dev<K>:` rules by device and installs one injector on each named device.
+// K indexes `devices`.  Returns 0, or the usage-error code for a bad spec.
 int InstallFaultInjectors(
-    const Args& args, std::vector<vgpu::Device*>& device_ptrs,
+    const Args& args, const std::vector<vgpu::Device*>& devices,
     std::vector<std::unique_ptr<vgpu::FaultInjector>>& injectors) {
-  const std::string fault_spec = args.Flag("fault-spec", "");
-  if (fault_spec.empty()) return 0;
-  const int num_devices = static_cast<int>(device_ptrs.size());
-  const std::uint64_t fault_seed =
-      static_cast<std::uint64_t>(args.FlagD("fault-seed", 1));
-  std::vector<std::string> per_device(static_cast<std::size_t>(num_devices));
-  std::size_t start = 0;
-  while (start < fault_spec.size()) {
-    std::size_t comma = fault_spec.find(',', start);
-    if (comma == std::string::npos) comma = fault_spec.size();
-    const std::string rule = fault_spec.substr(start, comma - start);
-    start = comma + 1;
+  if (!args.Has("fault-spec")) return 0;
+  std::vector<std::string> per_device(devices.size());
+  std::istringstream fault_spec(args.Text("fault-spec"));
+  for (std::string rule; std::getline(fault_spec, rule, ',');) {
     const std::size_t colon = rule.find(':');
-    int dev = -1;
-    if (rule.rfind("dev", 0) == 0 && colon != std::string::npos) {
-      dev = std::atoi(rule.substr(3, colon - 3).c_str());
+    std::size_t dev = 0;
+    if (rule.rfind("dev", 0) != 0 || colon == std::string::npos ||
+        !ParseNumber(rule.substr(3, colon - 3), &dev) ||
+        dev >= devices.size() || colon + 1 == rule.size()) {
+      return UsageError(&args.command, "--fault-spec rule '" + rule +
+                                           "': want dev<K>:<rule>, K < " +
+                                           std::to_string(devices.size()));
     }
-    if (dev < 0 || dev >= num_devices || colon + 1 >= rule.size()) {
-      std::fprintf(stderr,
-                   "bad --fault-spec rule '%s' (want dev<K>:<site>:...)\n",
-                   rule.c_str());
-      return 2;
-    }
-    std::string& rules = per_device[static_cast<std::size_t>(dev)];
+    std::string& rules = per_device[dev];
     if (!rules.empty()) rules += ',';
     rules += rule.substr(colon + 1);
   }
-  for (int k = 0; k < num_devices; ++k) {
-    if (per_device[static_cast<std::size_t>(k)].empty()) continue;
-    auto spec = vgpu::FaultSpec::Parse(
-        per_device[static_cast<std::size_t>(k)],
-        fault_seed + static_cast<std::uint64_t>(k));
+  for (std::size_t k = 0; k < devices.size(); ++k) {
+    if (per_device[k].empty()) continue;
+    auto spec =
+        vgpu::FaultSpec::Parse(per_device[k], args.Seed("fault-seed") + k);
     if (!spec.ok()) {
-      std::fprintf(stderr, "bad --fault-spec: %s\n",
-                   spec.status().ToString().c_str());
-      return 2;
+      return UsageError(&args.command,
+                        "bad --fault-spec: " + spec.status().ToString());
     }
     injectors.push_back(std::make_unique<vgpu::FaultInjector>(spec.value()));
-    device_ptrs[static_cast<std::size_t>(k)]->set_fault_injector(
-        injectors.back().get());
+    devices[k]->set_fault_injector(injectors.back().get());
   }
   return 0;
 }
 
-// Admission configuration shared by the single-server and fleet paths,
-// parsed and validated once before any devices are built.
-struct ServeAdmission {
-  serve::AdmissionMode mode = serve::AdmissionMode::kExact;
-  estimate::EstimatorOptions estimator;
-  kernels::AccumulatorKind kernel = kernels::AccumulatorKind::kAuto;
-  calibrate::CalibratorConfig calibrate;
-  /// Hybrid split forced on every job (`--ratio`); < 0 keeps the
-  /// executor-options default.
-  double gpu_ratio = -1.0;
+// One job of the mixed workload: a small ER product, a medium R-MAT
+// squaring, or an occasional large out-of-core one.
+sparse::Csr MixedSquaringOperand(SplitMix64& rng) {
+  const std::uint64_t pick = rng.Next() % 8;
+  if (pick < 5) {
+    return sparse::GenerateErdosRenyi(
+        {.rows = 64, .cols = 64, .avg_degree = 4.0, .seed = rng.Next()});
+  }
+  return sparse::GenerateRmat(
+      {.scale = pick < 7 ? 7 : 9, .edge_factor = 8.0, .seed = rng.Next()});
+}
+
+// What `serve` runs on: one server, or a fleet router over shard servers.
+struct Target {
+  std::unique_ptr<serve::SpgemmServer> server;
+  std::unique_ptr<fleet::FleetRouter> router;
+
+  std::future<serve::JobResult> Submit(serve::SpgemmJob job) {
+    return router ? router->Submit(std::move(job))
+                  : server->Submit(std::move(job));
+  }
+  void Drain() { router ? router->Drain() : server->Drain(); }
+  void Shutdown() { router ? router->Shutdown() : server->Shutdown(); }
 };
 
-// Strict up-front validation of the serve flags: an unknown --route or
-// --admission value, or a non-positive --shards or --replication, is a
-// usage error (exit 2), not something to clamp quietly.  Fills `adm` from
-// --admission / --estimator-seed / --estimator-sample on success.
-int ValidateServeFlags(const Args& args, ServeAdmission* adm) {
-  const std::string admission = args.Flag("admission", "exact");
-  if (!serve::ParseAdmissionMode(admission, &adm->mode)) {
-    std::fprintf(stderr, "--admission=%s: want exact or estimate\n",
-                 admission.c_str());
-    return Usage();
-  }
-  adm->estimator.seed =
-      static_cast<std::uint64_t>(args.FlagD("estimator-seed", 1));
-  if (args.Has("estimator-sample")) {
-    const double sample = args.FlagD("estimator-sample", 0.05);
-    if (!(sample > 0.0) || sample > 1.0) {
-      std::fprintf(stderr,
-                   "--estimator-sample=%s: want a fraction in (0, 1]\n",
-                   args.Flag("estimator-sample", "").c_str());
-      return Usage();
-    }
-    adm->estimator.row_sample_fraction = sample;
-  }
-  const std::string route = args.Flag("route", "affinity");
-  if (route != "affinity" && route != "random") {
-    std::fprintf(stderr, "--route=%s: want affinity or random\n",
-                 route.c_str());
-    return Usage();
-  }
-  const std::string kernel = args.Flag("kernel", "auto");
-  if (auto parsed = kernels::ParseAccumulatorKind(kernel)) {
-    adm->kernel = *parsed;
-  } else {
-    std::fprintf(stderr,
-                 "--kernel=%s: want auto, hash, dense, sort or merge\n",
-                 kernel.c_str());
-    return Usage();
-  }
-  if (args.Has("shards")) {
-    const int shards = static_cast<int>(args.FlagD("shards", 2));
-    if (shards < 2) {
-      std::fprintf(stderr, "--shards=%d: a fleet needs at least 2 shards\n",
-                   shards);
-      return Usage();
-    }
-  }
-  if (args.Has("replication")) {
-    const int replication = static_cast<int>(args.FlagD("replication", 1));
-    if (replication <= 0) {
-      std::fprintf(stderr, "--replication=%d: want a positive replica count\n",
-                   replication);
-      return Usage();
-    }
-  }
-  if (args.Has("ratio")) {
-    const double ratio = args.FlagD("ratio", -1.0);
-    if (!(ratio > 0.0) || !(ratio < 1.0)) {
-      std::fprintf(stderr,
-                   "--ratio=%s: want a GPU work fraction strictly inside "
-                   "(0, 1)\n",
-                   args.Flag("ratio", "").c_str());
-      return Usage();
-    }
-    adm->gpu_ratio = ratio;
-  }
-  const std::string calibrate_mode = args.Flag("calibrate", "off");
-  if (!calibrate::ParseCalibrateMode(calibrate_mode, &adm->calibrate.mode)) {
-    std::fprintf(stderr, "--calibrate=%s: want off, observe or apply\n",
-                 calibrate_mode.c_str());
-    return Usage();
-  }
-  if (args.Has("calibrate-interval")) {
-    const double interval = args.FlagD("calibrate-interval", 0.0);
-    if (!(interval > 0.0)) {
-      std::fprintf(stderr,
-                   "--calibrate-interval=%s: want a positive tick period in "
-                   "seconds\n",
-                   args.Flag("calibrate-interval", "").c_str());
-      return Usage();
-    }
-    adm->calibrate.interval_seconds = interval;
-  } else if (adm->calibrate.mode != calibrate::CalibrateMode::kOff) {
-    // A calibrating server should actually tick without the test-style
-    // manual TickNow(); default to a fast background cadence.
-    adm->calibrate.interval_seconds = 0.05;
-  }
-  return 0;
-}
-
-// Sharded serving through the fleet router: a shared-operand multi-tenant
-// workload (every job draws its B from a small common pool, so affinity
-// placement has batches and panel reuse to win) in explicit out-of-core
-// device mode, so a shard whose pool died must fail over across the ring.
-int ServeFleet(const Args& args, const ServeAdmission& adm) {
-  const int jobs = static_cast<int>(args.FlagD("jobs", 64));
-  const double load = args.FlagD("load", 0.0);
-  const double mem_mib = args.FlagD("device-mem", 1.0);
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.FlagD("seed", 1));
-  const int batch = std::max(1, static_cast<int>(args.FlagD("batch", 8)));
-  const int shards = static_cast<int>(args.FlagD("shards", 2));
-  const int devices_per_shard =
-      std::max(1, static_cast<int>(args.FlagD("devices", 1)));
-  const int replication = static_cast<int>(args.FlagD("replication", 1));
-  const std::string route = args.Flag("route", "affinity");
-
-  vgpu::DeviceProperties props = vgpu::ScaledV100Properties(10);
-  props.memory_bytes = static_cast<std::int64_t>(mem_mib * (1 << 20));
-  std::vector<std::unique_ptr<vgpu::Device>> devices;
-  std::vector<vgpu::Device*> device_ptrs;  // shard-major global indices
-  std::vector<std::vector<vgpu::Device*>> shard_devices;
-  for (int s = 0; s < shards; ++s) {
-    shard_devices.emplace_back();
-    for (int d = 0; d < devices_per_shard; ++d) {
-      devices.push_back(std::make_unique<vgpu::Device>(props));
-      device_ptrs.push_back(devices.back().get());
-      shard_devices.back().push_back(devices.back().get());
-    }
-  }
-  std::vector<std::unique_ptr<vgpu::FaultInjector>> injectors;
-  if (int rc = InstallFaultInjectors(args, device_ptrs, injectors)) return rc;
-  ThreadPool pool;
-
-  fleet::FleetConfig config;
-  config.shard.scheduler.num_workers = static_cast<int>(
-      args.FlagD("workers", std::max(2, devices_per_shard + 1)));
-  config.shard.scheduler.cpu_lanes =
-      std::max(1, config.shard.scheduler.num_workers - 1);
-  config.shard.scheduler.max_batch_jobs = batch;
-  config.shard.max_queue = static_cast<std::size_t>(args.FlagD("queue", jobs));
-  config.shard.default_timeout_seconds = args.FlagD("timeout", 0.0);
-  config.shard.admission_mode = adm.mode;
-  config.shard.estimator = adm.estimator;
-  config.shard.scheduler.kernel = adm.kernel;
-  config.shard.calibrate = adm.calibrate;
-  config.policy = route == "random" ? fleet::RoutingPolicy::kRandom
-                                    : fleet::RoutingPolicy::kAffinity;
-  config.replication.replication = replication;
-  fleet::FleetRouter router(std::move(shard_devices), pool, config);
-
-  SplitMix64 rng(seed);
-  std::vector<std::shared_ptr<const sparse::Csr>> shared_bs;
-  for (int i = 0; i < 4; ++i) {
-    sparse::RmatParams p;
-    p.scale = 8;
-    p.edge_factor = 8.0;
-    p.seed = rng.Next();
-    shared_bs.push_back(
-        std::make_shared<const sparse::Csr>(sparse::GenerateRmat(p)));
-  }
-
-  struct Pending {
-    std::shared_ptr<const sparse::Csr> a;
-    std::shared_ptr<const sparse::Csr> b;
-    std::future<serve::JobResult> future;
-  };
-  std::vector<Pending> pending;
-  for (int i = 0; i < jobs; ++i) {
-    serve::SpgemmJob job;
-    const auto& b = shared_bs[rng.Next() % shared_bs.size()];
-    sparse::ErdosRenyiParams p;
-    p.rows = p.cols = b->rows();
-    p.avg_degree = 4.0;
-    p.seed = rng.Next();
-    job.a = std::make_shared<const sparse::Csr>(sparse::GenerateErdosRenyi(p));
-    job.b = b;
-    job.options.mode = core::ExecutionMode::kGpuOutOfCore;
-    if (adm.gpu_ratio > 0.0) job.options.exec.gpu_ratio = adm.gpu_ratio;
-    job.options.priority = static_cast<int>(rng.Next() % 4);
-    job.options.tenant = "tenant-" + std::to_string(i % 4);
-    job.options.virtual_arrival = load > 0.0 ? i / load : 0.0;
-    pending.push_back({job.a, job.b, router.Submit(std::move(job))});
-  }
-  router.Drain();
-
-  int verify_failures = 0;
-  for (auto& p : pending) {
-    serve::JobResult r = p.future.get();
-    if (!r.ok()) {
-      std::printf("job %llu: %s (%s)\n",
-                  static_cast<unsigned long long>(r.metrics.id),
-                  serve::JobOutcomeName(r.metrics.outcome),
-                  r.status.ToString().c_str());
-      continue;
-    }
-    if (args.Has("verify") &&
-        !r.c.ApproxEquals(kernels::ReferenceSpgemm(*p.a, *p.b))) {
-      std::fprintf(stderr, "VERIFY FAILED: job %llu\n",
-                   static_cast<unsigned long long>(r.metrics.id));
-      ++verify_failures;
-    }
-  }
-
-  fleet::FleetReport report = router.Report();
-  std::printf("%s\n", report.DebugString().c_str());
-  if (args.Has("report")) {
-    std::ofstream out(args.Flag("report", ""));
-    out << report.ToJson() << "\n";
-    std::printf("report: %s\n", args.Flag("report", "").c_str());
-  }
-  if (args.Has("verify")) {
-    if (verify_failures > 0) return 1;
-    std::printf("verify: OK\n");
-  }
-  if (!report.Reconciles()) {
-    std::fprintf(stderr,
-                 "FLEET REPORT DOES NOT RECONCILE with per-shard reports\n");
-    return 1;
-  }
-  return report.totals.device_oom_failures == 0 ? 0 : 1;
-}
-
-// Synthetic open-loop workload against the serving runtime: a deterministic
-// mix of small ER products, medium R-MAT squarings and an occasional large
-// one, with randomized priorities and executor preferences.
 int Serve(const Args& args) {
-  ServeAdmission adm;
-  if (int rc = ValidateServeFlags(args, &adm)) return rc;
-  if (args.Has("shards")) return ServeFleet(args, adm);
-  const int jobs = static_cast<int>(args.FlagD("jobs", 64));
-  const double load = args.FlagD("load", 0.0);
-  const double mem_mib = args.FlagD("device-mem", 1.0);
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.FlagD("seed", 1));
-  const int batch = std::max(1, static_cast<int>(args.FlagD("batch", 1)));
-  const int num_devices =
-      std::max(1, static_cast<int>(args.FlagD("devices", 1)));
-  const int span = std::max(1, static_cast<int>(args.FlagD("span", 1)));
+  const bool fleet = args.Has("shards");
+  const int shards = fleet ? args.Int("shards") : 1;
+  const int per_shard = args.Int("devices");
+  const int jobs = args.Int("jobs");
+  const int batch = args.Has("batch") ? args.Int("batch") : fleet ? 8 : 1;
 
+  // Global device K is shard K / per_shard, device K % per_shard.
   vgpu::DeviceProperties props = vgpu::ScaledV100Properties(10);
-  props.memory_bytes = static_cast<std::int64_t>(mem_mib * (1 << 20));
+  props.memory_bytes = MiB(args.Real("device-mem"));
   std::vector<std::unique_ptr<vgpu::Device>> devices;
   std::vector<vgpu::Device*> device_ptrs;
-  for (int i = 0; i < num_devices; ++i) {
+  for (int k = 0; k < shards * per_shard; ++k) {
     devices.push_back(std::make_unique<vgpu::Device>(props));
     device_ptrs.push_back(devices.back().get());
   }
-
   std::vector<std::unique_ptr<vgpu::FaultInjector>> injectors;
   if (int rc = InstallFaultInjectors(args, device_ptrs, injectors)) return rc;
   ThreadPool pool;
 
   serve::ServerConfig config;
-  config.scheduler.num_workers =
-      static_cast<int>(args.FlagD("workers", std::max(4, num_devices + 1)));
+  config.scheduler.num_workers = args.Has("workers")
+                                     ? args.Int("workers")
+                                     : std::max(fleet ? 2 : 4, per_shard + 1);
   config.scheduler.cpu_lanes = std::max(1, config.scheduler.num_workers - 1);
   config.scheduler.max_batch_jobs = batch;
-  config.scheduler.max_devices_per_job = span;
+  config.scheduler.max_devices_per_job = args.Int("span");
+  config.scheduler.kernel = *kernels::ParseAccumulatorKind(args.Text("kernel"));
   config.max_queue =
-      static_cast<std::size_t>(args.FlagD("queue", jobs));
-  config.default_timeout_seconds = args.FlagD("timeout", 0.0);
-  config.admission_mode = adm.mode;
-  config.estimator = adm.estimator;
-  config.scheduler.kernel = adm.kernel;
-  config.metrics_path = args.Flag("metrics-out", "");
-  config.metrics_interval_seconds = args.FlagD("metrics-interval", 0.5);
-  config.calibrate = adm.calibrate;
-  serve::SpgemmServer server(device_ptrs, pool, config);
+      static_cast<std::size_t>(args.Has("queue") ? args.Int("queue") : jobs);
+  config.default_timeout_seconds = args.Real("timeout");
+  serve::ParseAdmissionMode(args.Text("admission"), &config.admission_mode);
+  config.estimator.seed = args.Seed("estimator-seed");
+  config.estimator.row_sample_fraction = args.Real("estimator-sample");
+  calibrate::ParseCalibrateMode(args.Text("calibrate"), &config.calibrate.mode);
+  config.calibrate.interval_seconds = args.Real("calibrate-interval");
 
-  SplitMix64 rng(seed);
-
-  // Shared-operand pool for --batch mode: jobs draw their B from here so
-  // the scheduler has same-operand runs to coalesce.
-  std::vector<std::shared_ptr<const sparse::Csr>> shared_bs;
-  if (batch > 1) {
-    for (int i = 0; i < 2; ++i) {
-      sparse::RmatParams p;
-      p.scale = 8;
-      p.edge_factor = 8.0;
-      p.seed = rng.Next();
-      shared_bs.push_back(
-          std::make_shared<const sparse::Csr>(sparse::GenerateRmat(p)));
+  Target target;
+  if (fleet) {
+    const bool random = args.Text("route") ==
+                        fleet::RoutingPolicyName(fleet::RoutingPolicy::kRandom);
+    std::vector<std::vector<vgpu::Device*>> shard_devices;
+    for (std::size_t k = 0; k < device_ptrs.size(); k += per_shard) {
+      shard_devices.emplace_back(&device_ptrs[k], &device_ptrs[k] + per_shard);
     }
+    target.router = std::make_unique<fleet::FleetRouter>(
+        std::move(shard_devices), pool,
+        fleet::FleetConfig{
+            .shard = config,
+            .policy = random ? fleet::RoutingPolicy::kRandom
+                             : fleet::RoutingPolicy::kAffinity,
+            .replication = {.replication = args.Int("replication")}});
+  } else {
+    target.server =
+        std::make_unique<serve::SpgemmServer>(device_ptrs, pool, config);
+  }
+  std::unique_ptr<obs::Snapshotter> snapshotter;
+  if (args.Has("metrics-out")) {
+    obs::Snapshotter::Options opts;
+    opts.interval_seconds = args.Real("metrics-interval");
+    opts.prometheus_path = args.Text("metrics-out");
+    opts.json_path = opts.prometheus_path + ".json";
+    snapshotter = std::make_unique<obs::Snapshotter>(
+        obs::MetricsRegistry::Default(), std::move(opts));
   }
 
+  // Shared-operand shapes draw every job's B from this pool, so batches and
+  // panel reuse can form; the mixed shape squares a fresh matrix per job.
+  SplitMix64 rng(args.Seed("seed"));
+  std::vector<std::shared_ptr<const sparse::Csr>> shared_bs(
+      fleet ? 4 : batch > 1 ? 2 : 0);
+  for (auto& b : shared_bs) {
+    b = std::make_shared<const sparse::Csr>(sparse::GenerateRmat(
+        {.scale = 8, .edge_factor = 8.0, .seed = rng.Next()}));
+  }
   struct Pending {
     std::shared_ptr<const sparse::Csr> a;
     std::shared_ptr<const sparse::Csr> b;
     std::future<serve::JobResult> future;
   };
   std::vector<Pending> pending;
+  const double load = args.Real("load");
   for (int i = 0; i < jobs; ++i) {
     serve::SpgemmJob job;
-    if (batch > 1) {  // per-tenant A against a pooled B
-      const auto& b = shared_bs[rng.Next() % shared_bs.size()];
-      sparse::ErdosRenyiParams p;
-      p.rows = p.cols = b->rows();
-      p.avg_degree = 4.0;
-      p.seed = rng.Next();
-      job.a = std::make_shared<const sparse::Csr>(
-          sparse::GenerateErdosRenyi(p));
-      job.b = b;
-    } else {
-      const std::uint64_t pick = rng.Next() % 8;
-      sparse::Csr m;
-      if (pick < 5) {  // small ER product
-        sparse::ErdosRenyiParams p;
-        p.rows = p.cols = 64;
-        p.avg_degree = 4.0;
-        p.seed = rng.Next();
-        m = sparse::GenerateErdosRenyi(p);
-      } else if (pick < 7) {  // medium R-MAT squaring
-        sparse::RmatParams p;
-        p.scale = 7;
-        p.edge_factor = 8.0;
-        p.seed = rng.Next();
-        m = sparse::GenerateRmat(p);
-      } else {  // occasional large out-of-core job
-        sparse::RmatParams p;
-        p.scale = 9;
-        p.edge_factor = 8.0;
-        p.seed = rng.Next();
-        m = sparse::GenerateRmat(p);
-      }
-      job.a = std::make_shared<const sparse::Csr>(std::move(m));
+    if (shared_bs.empty()) {
+      job.a = std::make_shared<const sparse::Csr>(MixedSquaringOperand(rng));
       job.b = job.a;
+    } else {
+      job.b = shared_bs[rng.Next() % shared_bs.size()];
+      const sparse::index_t n = job.b->rows();
+      job.a = std::make_shared<const sparse::Csr>(sparse::GenerateErdosRenyi(
+          {.rows = n, .cols = n, .avg_degree = 4.0, .seed = rng.Next()}));
     }
-    if (adm.gpu_ratio > 0.0) job.options.exec.gpu_ratio = adm.gpu_ratio;
+    if (fleet) {
+      job.options.mode = core::ExecutionMode::kGpuOutOfCore;
+      job.options.tenant = "tenant-" + std::to_string(i % 4);
+    }
+    job.options.exec.gpu_ratio = args.Real("ratio");
     job.options.priority = static_cast<int>(rng.Next() % 4);
     job.options.virtual_arrival = load > 0.0 ? i / load : 0.0;
-    pending.push_back({job.a, job.b, server.Submit(std::move(job))});
+    pending.push_back({job.a, job.b, target.Submit(std::move(job))});
   }
-  server.Drain();
+  target.Drain();
 
   int verify_failures = 0;
   for (auto& p : pending) {
@@ -706,36 +576,149 @@ int Serve(const Args& args) {
     }
   }
 
-  serve::ServerReport report = server.Report();
-  std::printf("%s\n", report.DebugString().c_str());
-  if (args.Has("report")) {
-    std::ofstream out(args.Flag("report", ""));
-    out << report.ToJson() << "\n";
-    std::printf("report: %s\n", args.Flag("report", "").c_str());
+  // Prints the report and writes its JSON to --report; false if that fails.
+  auto publish = [&](const auto& report) {
+    std::printf("%s\n", report.DebugString().c_str());
+    if (!args.Has("report")) return true;
+    std::ofstream out(args.Text("report"));
+    if (!(out << report.ToJson() << "\n")) {
+      std::fprintf(stderr, "cannot write %s\n", args.Text("report").c_str());
+      return false;
+    }
+    std::printf("report: %s\n", args.Text("report").c_str());
+    return true;
+  };
+  bool healthy;
+  if (fleet) {
+    const fleet::FleetReport report = target.router->Report();
+    healthy = publish(report) && report.Reconciles() &&
+              report.totals.device_oom_failures == 0;
+    if (!report.Reconciles()) {
+      std::fprintf(stderr, "FLEET REPORT DOES NOT RECONCILE with its shards\n");
+    }
+  } else {
+    const serve::ServerReport report = target.server->Report();
+    healthy = publish(report) && report.device_oom_failures == 0;
   }
-  if (args.Has("verify")) {
-    if (verify_failures > 0) return 1;
-    std::printf("verify: OK\n");
+  if (args.Has("verify") && verify_failures == 0) std::printf("verify: OK\n");
+  // Shutdown runs the calibrator's final tick; the exporter's last write
+  // comes after it.
+  target.Shutdown();
+  if (snapshotter != nullptr) {
+    snapshotter->Stop();
+    // Stop's final write drops its status; the same write again tells.
+    if (Status st = snapshotter->WriteNow(); !st.ok()) return Fail(st);
+    std::printf("metrics: %s (+ .json)\n", args.Text("metrics-out").c_str());
   }
-  if (args.Has("metrics-out")) {
-    // The server's Shutdown writes the terminal snapshot; trigger it now so
-    // the exported files are complete before we report the paths.
-    server.Shutdown();
-    std::printf("metrics: %s (+ .json)\n",
-                args.Flag("metrics-out", "").c_str());
-  }
-  return report.device_oom_failures == 0 ? 0 : 1;
+  return verify_failures == 0 && healthy ? 0 : 1;
+}
+
+template <typename Enum>
+std::vector<std::string> Spellings(const char* (*name)(Enum),
+                                   std::initializer_list<Enum> values) {
+  std::vector<std::string> out;
+  for (Enum v : values) out.push_back(name(v));
+  return out;
+}
+
+// The flag tables.  Upper bounds keep values inside what the code holds:
+// `--scale` and `--half-bandwidth` inside index_t arithmetic,
+// `--edge-factor` inside the generators' int64 edge counts, `--workers`,
+// `--shards` and `--devices` to bounded thread and device counts.
+const std::vector<Command>& Commands() {
+  using F = Flag;
+  using calibrate::CalibrateMode;
+  using fleet::RoutingPolicy;
+  using kernels::AccumulatorKind;
+  using serve::AdmissionMode;
+  static const std::vector<Flag> generate_flags = {
+      {"kind", F::kChoice, "rmat", "matrix family", {},
+       {"rmat", "er", "banded"}},
+      {"scale", F::kInt, "12", "2^scale rows", {0, 30}},
+      {"edge-factor", F::kReal, "8", "nonzeros per row (rmat, er)", {0, 1024}},
+      {"half-bandwidth", F::kInt, "8", "band half-width (banded)",
+       {0, 1 << 30}},
+      {"seed", F::kSeed, "1", "generator seed"},
+      {"out", F::kText, nullptr, "output file, required (.bin: binary)"},
+  };
+  static const std::vector<Flag> multiply_flags = {
+      {"executor", F::kChoice, "async", "executor", {},
+       {"async", "sync", "hybrid", "cpu"}},
+      {"device-mem", F::kReal, "16", "device memory in MiB", kDeviceMib},
+      {"ratio", F::kReal, "0.67", "hybrid GPU flop share", kGpuShare},
+      {"out", F::kText, nullptr, "write C here (.bin: binary)"},
+      {"trace", F::kText, nullptr, "write the device's Chrome trace here"},
+      {"verify", F::kPresence, nullptr, "check C against the reference"},
+  };
+  static const std::vector<Flag> serve_flags = {
+      {"jobs", F::kInt, "64", "jobs to submit", kCount},
+      {"load", F::kReal, "0", "jobs per virtual second (0: at once)", kNonNeg},
+      {"workers", F::kInt, nullptr,
+       "workers per server; default max(4, D+1), fleet max(2, D+1)", {1, 256}},
+      {"queue", F::kInt, nullptr, "queue bound per server; default --jobs",
+       kCount},
+      {"batch", F::kInt, nullptr, "jobs per batch; default 1, fleet 8", kCount},
+      {"devices", F::kInt, "1", "devices per server (D)", {1, 64}},
+      {"span", F::kInt, "1", "devices one hybrid job may span", kCount},
+      {"device-mem", F::kReal, "1", "memory per device in MiB", kDeviceMib},
+      {"timeout", F::kReal, "0", "job timeout, wall seconds (0: none)",
+       kSeconds},
+      {"seed", F::kSeed, "1", "workload seed"},
+      {"ratio", F::kReal, "0.67", "hybrid GPU flop share", kGpuShare},
+      {"report", F::kText, nullptr, "write the report JSON here"},
+      {"verify", F::kPresence, nullptr, "check every product"},
+      {"fault-spec", F::kText, nullptr, "dev<K>:<rule>[,...]; K shard-major"},
+      {"fault-seed", F::kSeed, "1", "fault schedule seed", {}, {},
+       "fault-spec"},
+      {"metrics-out", F::kText, nullptr, "export metrics here and at +.json"},
+      {"metrics-interval", F::kReal, "0.5",
+       "wall seconds between exports (0: at exit only)", kSeconds, {},
+       "metrics-out"},
+      {"admission", F::kChoice, "exact", "how jobs are priced", {},
+       Spellings(serve::AdmissionModeName,
+                 {AdmissionMode::kExact, AdmissionMode::kEstimate})},
+      {"estimator-seed", F::kSeed, "1", "sampling estimator seed"},
+      {"estimator-sample", F::kReal, "0.05", "estimator row-sample fraction",
+       {0, 1, true}},
+      {"kernel", F::kChoice, "auto", "accumulator strategy", {},
+       Spellings(kernels::AccumulatorKindName,
+                 {AccumulatorKind::kAuto, AccumulatorKind::kHash,
+                  AccumulatorKind::kDense, AccumulatorKind::kSortMerge,
+                  AccumulatorKind::kRowMerge})},
+      {"calibrate", F::kChoice, "off", "cost-model calibration", {},
+       Spellings(calibrate::CalibrateModeName,
+                 {CalibrateMode::kOff, CalibrateMode::kObserve,
+                  CalibrateMode::kApply})},
+      {"calibrate-interval", F::kReal, "0.05", "calibration tick, wall seconds",
+       {0, kSeconds.hi, true}},
+      {"shards", F::kInt, nullptr, "serve through a fleet of shards", {2, 64}},
+      {"replication", F::kInt, "1", "shards a hot operand spreads over", kCount,
+       {}, "shards"},
+      {"route", F::kChoice, "affinity", "fleet placement", {},
+       Spellings(fleet::RoutingPolicyName,
+                 {RoutingPolicy::kAffinity, RoutingPolicy::kRandom}),
+       "shards"},
+  };
+  static const std::vector<Command> commands = {
+      {"generate", "", 0, 0, Generate, generate_flags},
+      {"analyze", "A.mtx [B.mtx]", 1, 2, Analyze, {}},
+      {"multiply", "A.mtx [B.mtx]", 1, 2, Multiply, multiply_flags},
+      {"serve", "", 0, 0, Serve, serve_flags},
+  };
+  return commands;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args = Parse(argc, argv);
-  if (args.positional.empty()) return Usage();
-  const std::string& cmd = args.positional[0];
-  if (cmd == "generate") return Generate(args);
-  if (cmd == "analyze") return Analyze(args);
-  if (cmd == "multiply") return Multiply(args);
-  if (cmd == "serve") return Serve(args);
-  return Usage();
+  if (argc < 2) return UsageError(nullptr, "no command");
+  for (const Command& cmd : Commands()) {
+    if (argv[1] != std::string(cmd.name)) continue;
+    Args args(cmd);
+    if (const std::string why = args.Parse(argc, argv); !why.empty()) {
+      return UsageError(&cmd, why);
+    }
+    return cmd.run(args);
+  }
+  return UsageError(nullptr, std::string("unknown command ") + argv[1]);
 }
