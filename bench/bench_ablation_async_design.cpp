@@ -93,7 +93,7 @@ int main() {
       auto r = core::AsyncOutOfCore(device, m, m, ctx.options, ctx.pool);
       if (!r.ok()) return 1;
       std::int64_t bound_total = 0, est_total = 0;
-      for (const auto& c : prep->chunks) {
+      for (const auto& c : prep->plan.chunks) {
         bound_total += c.upper_bound_nnz;
         est_total += c.estimated_nnz;
       }

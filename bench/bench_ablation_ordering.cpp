@@ -27,7 +27,7 @@ OrderingResult RunOrdering(const sparse::Csr& m, bench::BenchContext& ctx) {
                                    ctx.pool);
   if (prep.ok()) {
     std::vector<double> flops;
-    for (const auto& c : prep->chunks) {
+    for (const auto& c : prep->plan.chunks) {
       flops.push_back(static_cast<double>(c.flops));
     }
     out.chunk_flop_gini = GiniCoefficient(std::move(flops));

@@ -51,9 +51,10 @@ int main() {
                    prep.status().ToString().c_str());
       return 1;
     }
-    std::vector<int> order = partition::OrderByFlopsDecreasing(prep->chunks);
+    const std::vector<partition::ChunkDesc>& chunks = prep->plan.chunks;
+    std::vector<int> order = partition::OrderByFlopsDecreasing(chunks);
     const int ratio_count =
-        partition::CountGpuChunks(prep->chunks, order, ctx.options.gpu_ratio);
+        partition::CountGpuChunks(chunks, order, ctx.options.gpu_ratio);
 
     int best_count = 0;
     double best_seconds = 1e300;

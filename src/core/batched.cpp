@@ -15,10 +15,11 @@ namespace {
 
 StatusOr<BatchedRunResult> BatchedOutOfCoreImpl(
     vgpu::Device& device, const std::vector<BatchJobSpec>& jobs,
-    const std::vector<const sparse::Csr*>& as, const sparse::Csr& b,
-    const ExecutorOptions& options, ThreadPool& pool) {
-  auto preps_or =
-      PrepareSharedOperandProblems(as, b, device.capacity(), options, pool);
+    const std::vector<const sparse::Csr*>& as,
+    const std::vector<std::shared_ptr<const partition::PanelPlan>>& priors,
+    const sparse::Csr& b, const ExecutorOptions& options, ThreadPool& pool) {
+  auto preps_or = PrepareSharedOperandProblems(as, b, device.capacity(),
+                                               options, pool, priors);
   if (!preps_or.ok()) return preps_or.status();
   const std::vector<PreparedProblem>& preps = preps_or.value();
 
@@ -48,14 +49,14 @@ StatusOr<BatchedRunResult> BatchedOutOfCoreImpl(
     segments[i].resize(static_cast<std::size_t>(nc));
     for (int id = 0; id < preps[i].num_chunks(); ++id) {
       const partition::ChunkDesc& desc =
-          preps[i].chunks[static_cast<std::size_t>(id)];
+          preps[i].plan.chunks[static_cast<std::size_t>(id)];
       segments[i][static_cast<std::size_t>(desc.col_panel)].push_back(id);
     }
     if (options.reorder_chunks) {
       for (std::vector<int>& seg : segments[i]) {
         std::sort(seg.begin(), seg.end(), [&](int lhs, int rhs) {
-          return preps[i].chunks[static_cast<std::size_t>(lhs)].flops >
-                 preps[i].chunks[static_cast<std::size_t>(rhs)].flops;
+          return preps[i].plan.chunks[static_cast<std::size_t>(lhs)].flops >
+                 preps[i].plan.chunks[static_cast<std::size_t>(rhs)].flops;
         });
       }
     }
@@ -144,19 +145,22 @@ StatusOr<BatchedRunResult> BatchedOutOfCore(vgpu::Device& device,
     return Status::InvalidArgument("BatchedOutOfCore: empty batch");
   }
   std::vector<const sparse::Csr*> as;
+  std::vector<std::shared_ptr<const partition::PanelPlan>> priors;
   as.reserve(jobs.size());
+  priors.reserve(jobs.size());
   for (const BatchJobSpec& spec : jobs) {
     if (spec.a == nullptr) {
       return Status::InvalidArgument("BatchedOutOfCore: null operand");
     }
     as.push_back(spec.a);
+    priors.push_back(spec.plan);
   }
 
   // Same pool-overflow policy as the single-job executors: replan the whole
   // batch with a doubled safety factor (chunks shrink together, so the
-  // shared column split stays common).
+  // shared column split stays common), each member from its own estimate.
   auto r = RetryWithReplan(options, [&](const ExecutorOptions& o) {
-    return BatchedOutOfCoreImpl(device, jobs, as, b, o, pool);
+    return BatchedOutOfCoreImpl(device, jobs, as, priors, b, o, pool);
   });
   if (r.ok()) {
     obs::MetricsRegistry::Default()

@@ -4,7 +4,8 @@
 //
 // A naive serving loop pays B's column-panel uploads once per *job*.  This
 // executor plans one common column split for the whole batch
-// (partition::PlanSharedOperandPanels), builds one GpuWorkspace sized for
+// (partition::PlanSharedOperandPanels, which runs each member's own plan
+// when its column count is the shared one), builds one GpuWorkspace sized for
 // the largest member, and walks the chunk grid column-panel-major across
 // jobs:
 //
@@ -33,6 +34,7 @@
 #include "common/thread_pool.hpp"
 #include "core/executor_options.hpp"
 #include "core/run_stats.hpp"
+#include "partition/panel_plan.hpp"
 #include "sparse/csr.hpp"
 #include "vgpu/device.hpp"
 
@@ -44,6 +46,11 @@ struct BatchJobSpec {
   /// Optional per-job cooperative cancel, polled between segments only (a
   /// batched job's timeout granularity is one job x column-panel segment).
   const std::atomic<bool>* cancel = nullptr;
+  /// Optional plan already made for this member (the serve scheduler hands
+  /// over admission's).  It runs when it was made for the device and the
+  /// batch's plan options (partition::PlanMadeFor); otherwise the member is
+  /// planned again, from this plan's estimate in estimate mode.
+  std::shared_ptr<const partition::PanelPlan> plan;
 };
 
 /// Per-member outcome; `run` is valid iff `status.ok()`.

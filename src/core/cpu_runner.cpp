@@ -41,7 +41,7 @@ CpuRunOutput RunCpuChunks(const PreparedProblem& prep,
   CpuRunOutput out;
   const kernels::CostModel& cm = options.spgemm.cost_model;
   kernels::CpuSpgemmOptions cpu_options;
-  cpu_options.accumulator = prep.plan.accumulator;  // route as planned
+  cpu_options.accumulator = options.spgemm.accumulator;
   cpu_options.routing = options.spgemm.routing;
   auto& chunk_err = obs::MetricsRegistry::Default().GetHistogram(
       "oocgemm_estimate_chunk_flops_rel_error", {},
@@ -54,14 +54,15 @@ CpuRunOutput RunCpuChunks(const PreparedProblem& prep,
       out.cancelled = true;
       return out;
     }
-    const partition::ChunkDesc& desc = prep.chunks[static_cast<std::size_t>(id)];
+    const partition::ChunkDesc& desc =
+        prep.plan.chunks[static_cast<std::size_t>(id)];
     const sparse::Csr& a_panel =
         prep.a_panels[static_cast<std::size_t>(desc.row_panel)];
     const sparse::Csr& b_panel = prep.b_panel(desc.col_panel);
     sparse::Csr c = kernels::CpuSpgemm(a_panel, b_panel, pool, cpu_options);
 
     std::int64_t chunk_flops = desc.flops;
-    if (prep.plan.estimated) {
+    if (prep.plan.estimated()) {
       chunk_flops = ExactChunkFlops(a_panel, b_panel);
       if (chunk_flops > 0) {
         chunk_err.Record(

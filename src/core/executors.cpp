@@ -50,7 +50,7 @@ StatusOr<RunResult> SyncOutOfCore(vgpu::Device& device, const Csr& a,
         GpuWorkspace workspace(device, host, prep.plan.max_a_panel_bytes,
                                prep.plan.max_b_panel_bytes);
         // Algorithm 3: the row-major chunk grid, one chunk at a time.
-        std::vector<int> order(prep.chunks.size());
+        std::vector<int> order(prep.plan.chunks.size());
         std::iota(order.begin(), order.end(), 0);
         auto run = RunGpuChunks(device, host, prep, order, o,
                                 /*sink=*/nullptr, &workspace);

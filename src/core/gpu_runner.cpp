@@ -189,7 +189,7 @@ StatusOr<GpuRunOutput> RunGpuChunks(vgpu::Device& device,
                                     std::to_string(k)));
     }
     const partition::ChunkDesc& desc =
-        prep.chunks[static_cast<std::size_t>(order[k])];
+        prep.plan.chunks[static_cast<std::size_t>(order[k])];
     const int slot = static_cast<int>(k) % slots;
     finalize_slot(slot);  // reuse of the slot's pool requires its drain
     if (!device_status.ok()) return fail(device_status);
@@ -267,7 +267,7 @@ StatusOr<GpuRunOutput> RunGpuChunks(vgpu::Device& device,
     // product.flops is exact (from the device analysis phase): on
     // estimate-seeded plans this is the lazy correction of desc.flops.
     out.flops += cur.product.flops;
-    if (prep.plan.estimated && cur.product.flops > 0) {
+    if (prep.plan.estimated() && cur.product.flops > 0) {
       static obs::LogBucketHistogram& chunk_err =
           obs::MetricsRegistry::Default().GetHistogram(
               "oocgemm_estimate_chunk_flops_rel_error", {},

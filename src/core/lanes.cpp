@@ -15,13 +15,13 @@ namespace {
 obs::DoubleCounter& PhaseSeconds(const std::string& phase) {
   return obs::MetricsRegistry::Default().GetDoubleCounter(
       "oocgemm_core_phase_seconds", {{"phase", phase}},
-      "Time attributed to each SpGEMM phase (virtual device seconds for "
-      "analysis/symbolic/numeric, host wall seconds for assemble)");
+      "Virtual device seconds of each SpGEMM kernel phase "
+      "(analysis/symbolic/numeric)");
 }
 
 std::vector<int> ChunkOrder(const PreparedProblem& prep, bool reorder) {
-  if (reorder) return partition::OrderByFlopsDecreasing(prep.chunks);
-  std::vector<int> order(prep.chunks.size());
+  if (reorder) return partition::OrderByFlopsDecreasing(prep.plan.chunks);
+  std::vector<int> order(prep.plan.chunks.size());
   std::iota(order.begin(), order.end(), 0);
   return order;
 }
@@ -67,7 +67,7 @@ RunStats BuildRunStats(const PreparedProblem& prep,
   stats.flops = prep.total_flops;
 
   auto& reg = obs::MetricsRegistry::Default();
-  if (prep.plan.estimated) {
+  if (prep.plan.estimated()) {
     auto rel_error = [&](const char* quantity, std::int64_t estimated,
                          std::int64_t actual) {
       reg.GetHistogram("oocgemm_estimate_rel_error", {{"quantity", quantity}},
@@ -80,7 +80,7 @@ RunStats BuildRunStats(const PreparedProblem& prep,
     stats.flops = exact_flops;
     if (stats.nnz_out > 0) {
       std::int64_t planned_nnz = 0;
-      for (const auto& c : prep.chunks) planned_nnz += c.estimated_nnz;
+      for (const auto& c : prep.plan.chunks) planned_nnz += c.estimated_nnz;
       rel_error("nnz", planned_nnz, stats.nnz_out);
     }
   }
@@ -94,7 +94,7 @@ RunStats BuildRunStats(const PreparedProblem& prep,
   }
   auto& chunk_flops = reg.GetHistogram("oocgemm_core_chunk_flops", {},
                                        "Flops per planned chunk");
-  for (const auto& c : prep.chunks) {
+  for (const auto& c : prep.plan.chunks) {
     chunk_flops.Record(static_cast<double>(c.flops));
   }
   stats.compression_ratio =
@@ -106,10 +106,15 @@ RunStats BuildRunStats(const PreparedProblem& prep,
 
 sparse::Csr TimedAssemble(const PreparedProblem& prep,
                           std::vector<ChunkPayload> payloads) {
+  static obs::DoubleCounter& assemble_seconds =
+      obs::MetricsRegistry::Default().GetDoubleCounter(
+          "oocgemm_core_assemble_wall_seconds", {},
+          "Host wall seconds spent assembling output chunks into C");
   WallTimer timer;
   sparse::Csr c =
-      AssembleChunks(prep.row_bounds, prep.col_bounds, std::move(payloads));
-  PhaseSeconds("assemble").Add(timer.Seconds());
+      AssembleChunks(prep.plan.row_bounds, prep.plan.col_bounds,
+                     std::move(payloads));
+  assemble_seconds.Add(timer.Seconds());
   return c;
 }
 
@@ -131,7 +136,8 @@ StatusOr<LaneRun> RunLanes(const std::vector<vgpu::Device*>& devices,
   // the devices, dealt round-robin so each gets a comparable mix of heavy
   // and light chunks; the CPU takes the rest.
   const std::vector<int> order = ChunkOrder(prep, options.reorder_chunks);
-  const int num_gpu = partition::CountGpuChunks(prep.chunks, order, gpu_share);
+  const int num_gpu =
+      partition::CountGpuChunks(prep.plan.chunks, order, gpu_share);
   std::vector<std::vector<int>> dealt(devices.size());
   for (int i = 0; i < num_gpu; ++i) {
     dealt[static_cast<std::size_t>(i) % devices.size()].push_back(
@@ -168,8 +174,8 @@ StatusOr<LaneRun> RunLanes(const std::vector<vgpu::Device*>& devices,
     for (ChunkPayload& p : cpu.payloads) payloads.push_back(std::move(p));
     run.c = TimedAssemble(prep, std::move(payloads));
   }
-  run.row_bounds = prep.row_bounds;
-  run.col_bounds = prep.col_bounds;
+  run.row_bounds = prep.plan.row_bounds;
+  run.col_bounds = prep.plan.col_bounds;
   return run;
 }
 

@@ -59,7 +59,7 @@ RunStats BuildRunStats(const PreparedProblem& prep,
                        const CpuRunOutput* cpu, const vgpu::Device* device);
 
 /// AssembleChunks over the plan's grid, with the host wall time booked to
-/// the assemble phase.
+/// oocgemm_core_assemble_wall_seconds.
 sparse::Csr TimedAssemble(const PreparedProblem& prep,
                           std::vector<ChunkPayload> payloads);
 

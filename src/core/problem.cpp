@@ -4,22 +4,14 @@ namespace oocgemm::core {
 
 namespace {
 
-/// Chunk grid for a prepared plan: the estimate-seeded grid (no exact
-/// nnz(A)-walk) when the plan came from the sampling estimator, otherwise
-/// the exact AnalyzeChunks pass.  Executors treat estimated chunk flops as
-/// provisional and correct run stats from exact per-chunk counts lazily.
-std::vector<partition::ChunkDesc> ChunksForPlan(
-    const sparse::Csr& a, const sparse::Csr& b,
-    const partition::PanelPlan& plan) {
-  if (plan.estimated) {
-    return partition::EstimateChunks(
-        plan.row_bounds, plan.col_bounds, plan.row_nnz_estimate,
-        plan.row_products_estimate,
-        partition::ColPanelNnz(b, plan.col_bounds), b.nnz());
-  }
-  return partition::AnalyzeChunks(
-      a, plan.row_bounds, b, plan.col_bounds,
-      plan.row_nnz_estimate.empty() ? nullptr : &plan.row_nnz_estimate);
+PreparedProblem Prepare(const sparse::Csr& a, partition::PanelPlan plan,
+                        std::shared_ptr<const std::vector<sparse::Csr>> b) {
+  PreparedProblem prep;
+  prep.plan = std::move(plan);
+  prep.a_panels = partition::PartitionRows(a, prep.plan.row_bounds);
+  prep.b_panels = std::move(b);
+  for (const auto& c : prep.plan.chunks) prep.total_flops += c.flops;
+  return prep;
 }
 
 }  // namespace
@@ -29,34 +21,18 @@ StatusOr<PreparedProblem> PrepareProblem(const sparse::Csr& a,
                                          std::int64_t device_capacity,
                                          const ExecutorOptions& options,
                                          ThreadPool& pool) {
-  if (a.cols() != b.rows()) {
-    return Status::InvalidArgument("dimension mismatch: A is " +
-                                   a.DebugString() + ", B is " +
-                                   b.DebugString());
-  }
-  // The executor's kernel choice rides on the plan so every later stage
-  // (GPU pipeline, CPU runner, serve retries) routes the same way.
-  partition::PlanOptions plan_options = options.plan;
-  plan_options.accumulator = options.spgemm.accumulator;
-  auto plan = partition::PlanPanels(a, b, device_capacity, plan_options);
+  auto plan = partition::PlanPanels(a, b, device_capacity, options.plan);
   if (!plan.ok()) return plan.status();
-
-  PreparedProblem prep;
-  prep.plan = plan.value();
-  prep.row_bounds = prep.plan.row_bounds;
-  prep.col_bounds = prep.plan.col_bounds;
-  prep.a_panels = partition::PartitionRows(a, prep.row_bounds);
-  prep.b_panels = std::make_shared<const std::vector<sparse::Csr>>(
-      partition::PartitionColsParallel(b, prep.col_bounds, pool));
-  prep.chunks = ChunksForPlan(a, b, prep.plan);
-  for (const auto& c : prep.chunks) prep.total_flops += c.flops;
-  return prep;
+  auto b_panels = std::make_shared<const std::vector<sparse::Csr>>(
+      partition::PartitionColsParallel(b, plan->col_bounds, pool));
+  return Prepare(a, std::move(plan).value(), std::move(b_panels));
 }
 
 StatusOr<std::vector<PreparedProblem>> PrepareSharedOperandProblems(
     const std::vector<const sparse::Csr*>& as, const sparse::Csr& b,
     std::int64_t device_capacity, const ExecutorOptions& options,
-    ThreadPool& pool) {
+    ThreadPool& pool,
+    const std::vector<std::shared_ptr<const partition::PanelPlan>>& priors) {
   for (const sparse::Csr* a : as) {
     if (a == nullptr || a->cols() != b.rows()) {
       return Status::InvalidArgument(
@@ -64,29 +40,18 @@ StatusOr<std::vector<PreparedProblem>> PrepareSharedOperandProblems(
           b.DebugString());
     }
   }
-  partition::PlanOptions plan_options = options.plan;
-  plan_options.accumulator = options.spgemm.accumulator;
   auto plans = partition::PlanSharedOperandPanels(as, b, device_capacity,
-                                                  plan_options);
+                                                  options.plan, priors);
   if (!plans.ok()) return plans.status();
 
   // One partition of B for the whole batch (every plan's col_bounds agree).
-  const partition::PanelBoundaries& col_bounds = plans->front().col_bounds;
   auto b_panels = std::make_shared<const std::vector<sparse::Csr>>(
-      partition::PartitionColsParallel(b, col_bounds, pool));
+      partition::PartitionColsParallel(b, plans->front().col_bounds, pool));
 
   std::vector<PreparedProblem> preps;
   preps.reserve(as.size());
   for (std::size_t i = 0; i < as.size(); ++i) {
-    PreparedProblem prep;
-    prep.plan = std::move(plans.value()[i]);
-    prep.row_bounds = prep.plan.row_bounds;
-    prep.col_bounds = prep.plan.col_bounds;
-    prep.a_panels = partition::PartitionRows(*as[i], prep.row_bounds);
-    prep.b_panels = b_panels;
-    prep.chunks = ChunksForPlan(*as[i], b, prep.plan);
-    for (const auto& c : prep.chunks) prep.total_flops += c.flops;
-    preps.push_back(std::move(prep));
+    preps.push_back(Prepare(*as[i], std::move(plans.value()[i]), b_panels));
   }
   return preps;
 }

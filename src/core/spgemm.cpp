@@ -1,6 +1,8 @@
 #include "core/spgemm.hpp"
 
-#include "core/problem.hpp"
+#include <memory>
+
+#include "partition/panel_plan.hpp"
 
 namespace oocgemm::core {
 
@@ -19,15 +21,18 @@ StatusOr<RunResult> Multiply(vgpu::Device& device, const sparse::Csr& a,
     case ExecutionMode::kAuto:
       break;
   }
-  // kAuto: probe the plan.  A single-chunk problem runs in-core on the GPU
-  // (the hybrid split would only idle one side); anything larger engages
-  // both processors.
-  auto prep = PrepareProblem(a, b, device.capacity(), options, pool);
-  if (!prep.ok()) return prep.status();
-  if (prep->num_chunks() <= 1) {
-    return AsyncOutOfCore(device, a, b, options, pool);
+  // kAuto: probe the plan, then run it.  A single-chunk problem runs
+  // in-core on the GPU (the hybrid split would only idle one side);
+  // anything larger engages both processors.
+  auto plan = partition::PlanPanels(a, b, device.capacity(), options.plan);
+  if (!plan.ok()) return plan.status();
+  MultiplyOptions planned = options;
+  planned.plan.prior =
+      std::make_shared<const partition::PanelPlan>(std::move(plan).value());
+  if (planned.plan.prior->num_chunks() <= 1) {
+    return AsyncOutOfCore(device, a, b, planned, pool);
   }
-  return Hybrid(device, a, b, options, pool);
+  return Hybrid(device, a, b, planned, pool);
 }
 
 StatusOr<RunResult> Multiply(vgpu::Device& device, const sparse::Csr& a,

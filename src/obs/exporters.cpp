@@ -107,10 +107,12 @@ std::string FormatMetricValue(double value) {
 std::string ToPrometheusText(const RegistrySnapshot& snapshot) {
   std::string out;
   for (const MetricFamily& f : snapshot.families) {
-    // Prometheus counter convention: the exposition name carries _total;
-    // the registry name stays suffix-free so JSON and code agree.
+    // Prometheus counter convention: the exposition name carries _total
+    // once, whether or not the registry name already ends in it.
     const std::string name =
-        f.kind == MetricKind::kCounter ? f.name + "_total" : f.name;
+        f.kind == MetricKind::kCounter && !f.name.ends_with("_total")
+            ? f.name + "_total"
+            : f.name;
     out += "# HELP " + name + " " + (f.help.empty() ? f.name : f.help) + "\n";
     out += "# TYPE " + name + " " + MetricKindName(f.kind) + "\n";
     for (const MetricPoint& p : f.points) {

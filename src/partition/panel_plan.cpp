@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "obs/metrics.hpp"
 #include "sparse/analysis.hpp"
 #include "sparse/types.hpp"
 
@@ -32,22 +33,12 @@ struct ChunkSizing {
   std::int64_t max_b = 0;
   std::int64_t max_out = 0;
   std::int64_t max_working_set = 0;
+  std::vector<ChunkDesc> chunks;  // the grid the output sizes come from
 };
 
-void SizeAPanels(const sparse::Csr& a, const PanelBoundaries& row_bounds,
-                 ChunkSizing* s) {
-  for (int rp = 0; rp < row_bounds.num_panels(); ++rp) {
-    const std::int64_t rows = row_bounds.panel_width(rp);
-    const std::int64_t nnz = a.row_begin(row_bounds.panel_end(rp)) -
-                             a.row_begin(row_bounds.panel_begin(rp));
-    s->max_a = std::max(s->max_a, PanelBytes(rows, nnz));
-  }
-}
-
-void SizeOutputChunks(const std::vector<ChunkDesc>& chunks,
-                      const PanelBoundaries& row_bounds,
+void SizeOutputChunks(const PanelBoundaries& row_bounds,
                       double nnz_safety_factor, ChunkSizing* s) {
-  for (const ChunkDesc& c : chunks) {
+  for (const ChunkDesc& c : s->chunks) {
     const std::int64_t rows = row_bounds.panel_width(c.row_panel);
     // Pipeline scratch: per-row flops + per-row nnz (int64 each).
     const std::int64_t scratch = 2 * Align(rows * 8);
@@ -62,58 +53,37 @@ void SizeOutputChunks(const std::vector<ChunkDesc>& chunks,
   }
 }
 
+/// Working-set accounting of one candidate split.  `b_col_nnz` is B's
+/// per-panel nnz (ColPanelNnz, computed once per column candidate by the
+/// caller).  The chunk grid comes from `est` when given (EstimateChunks,
+/// O(rows + nr*nc): no O(nnz) walk per row-search probe, which is where
+/// the exact planner spends its time), else from AnalyzeChunks.
 ChunkSizing SizeChunks(const sparse::Csr& a, const PanelBoundaries& row_bounds,
                        const sparse::Csr& b, const PanelBoundaries& col_bounds,
+                       const std::vector<std::int64_t>& b_col_nnz,
+                       const estimate::ProductEstimate* est,
                        const std::vector<double>* row_nnz_estimate,
                        double nnz_safety_factor) {
   ChunkSizing s;
-  const int nc = col_bounds.num_panels();
-  SizeAPanels(a, row_bounds, &s);
-
-  std::vector<std::int64_t> b_nnz = ColPanelNnz(b, col_bounds);
-  for (int cp = 0; cp < nc; ++cp) {
-    s.max_b = std::max(
-        s.max_b, PanelBytes(b.rows(), b_nnz[static_cast<std::size_t>(cp)]));
+  for (int rp = 0; rp < row_bounds.num_panels(); ++rp) {
+    const std::int64_t nnz = a.row_begin(row_bounds.panel_end(rp)) -
+                             a.row_begin(row_bounds.panel_begin(rp));
+    s.max_a =
+        std::max(s.max_a, PanelBytes(row_bounds.panel_width(rp), nnz));
   }
-
-  std::vector<ChunkDesc> chunks =
-      AnalyzeChunks(a, row_bounds, b, col_bounds, row_nnz_estimate);
-  SizeOutputChunks(chunks, row_bounds, nnz_safety_factor, &s);
-  return s;
-}
-
-/// Estimate-mode sizing: identical working-set accounting, but chunk stats
-/// come from EstimateChunks (O(rows + nr*nc)) and B's per-panel nnz is
-/// computed once per column candidate by the caller — no O(nnz) walk per
-/// row-search probe, which is where the exact planner spends its time.
-ChunkSizing SizeChunksEstimated(const sparse::Csr& a,
-                                const PanelBoundaries& row_bounds,
-                                const sparse::Csr& b,
-                                const PanelBoundaries& col_bounds,
-                                const std::vector<std::int64_t>& b_col_nnz,
-                                const estimate::ProductEstimate& est,
-                                double nnz_safety_factor) {
-  ChunkSizing s;
-  SizeAPanels(a, row_bounds, &s);
   for (std::int64_t nnz : b_col_nnz) {
     s.max_b = std::max(s.max_b, PanelBytes(b.rows(), nnz));
   }
-  std::vector<ChunkDesc> chunks =
-      EstimateChunks(row_bounds, col_bounds, est.row_nnz, est.row_products,
-                     b_col_nnz, b.nnz());
-  SizeOutputChunks(chunks, row_bounds, nnz_safety_factor, &s);
+  s.chunks = est != nullptr
+                 ? EstimateChunks(row_bounds, col_bounds, est->row_nnz,
+                                  est->row_products, b_col_nnz, b.nnz())
+                 : AnalyzeChunks(a, row_bounds, b, col_bounds,
+                                 row_nnz_estimate);
+  SizeOutputChunks(row_bounds, nnz_safety_factor, &s);
   return s;
 }
 
 }  // namespace
-
-std::int64_t MaxChunkWorkingSetBytes(const sparse::Csr& a,
-                                     const PanelBoundaries& row_bounds,
-                                     const sparse::Csr& b,
-                                     const PanelBoundaries& col_bounds) {
-  return SizeChunks(a, row_bounds, b, col_bounds, nullptr, 1.0)
-      .max_working_set;
-}
 
 std::string PanelPlan::DebugString() const {
   char buf[192];
@@ -128,54 +98,73 @@ std::string PanelPlan::DebugString() const {
   return buf;
 }
 
-StatusOr<PanelPlan> PlanPanels(const sparse::Csr& a, const sparse::Csr& b,
-                               std::int64_t device_capacity,
-                               const PlanOptions& options) {
+bool PlanOptions::operator==(const PlanOptions&) const = default;
+
+bool PlanMadeFor(const PanelPlan& plan, std::int64_t device_capacity,
+                 const PlanOptions& options) {
+  PlanOptions in_force = options;
+  in_force.prior = nullptr;
+  return plan.device_capacity == device_capacity && plan.options == in_force;
+}
+
+StatusOr<PanelPlan> PlanPanels(
+    const sparse::Csr& a, const sparse::Csr& b, std::int64_t device_capacity,
+    const PlanOptions& options,
+    std::shared_ptr<const estimate::ProductEstimate> estimate) {
   if (a.cols() != b.rows()) {
     return Status::InvalidArgument("dimension mismatch: A is " +
                                    a.DebugString() + ", B is " +
                                    b.DebugString());
   }
+  if (options.prior != nullptr &&
+      PlanMadeFor(*options.prior, device_capacity, options)) {
+    return *options.prior;
+  }
   if (options.buffers < 1 || options.capacity_fraction <= 0.0) {
     return Status::InvalidArgument("bad plan options");
   }
+  static obs::Counter& plans = obs::MetricsRegistry::Default().GetCounter(
+      "oocgemm_partition_plans", {},
+      "Panel plans searched by PlanPanels; a reused plan is not counted");
+  plans.Add(1);
   const std::int64_t budget = static_cast<std::int64_t>(
       static_cast<double>(device_capacity) * options.capacity_fraction);
 
   // Sampled-symbolic row-nnz prediction (full output width; independent of
   // the panel boundaries, so computed once for the whole search).  The same
   // per-row weights drive the work-balanced row boundaries.  In estimate
-  // mode the structure-only sampling estimator replaces the exact walk
-  // (reusing admission's estimate via the hint when shapes match).
+  // mode the structure-only estimate replaces the exact walk.
   std::vector<double> row_estimate;
   const std::vector<double>* estimate_ptr = nullptr;
-  estimate::ProductEstimate local_est;
-  const estimate::ProductEstimate* sampled_est = nullptr;
   if (options.use_sampling_estimator) {
-    if (options.estimate_hint != nullptr &&
-        options.estimate_hint->row_nnz.size() ==
-            static_cast<std::size_t>(a.rows())) {
-      sampled_est = options.estimate_hint.get();
-    } else {
+    if (estimate == nullptr && options.prior != nullptr) {
+      estimate = options.prior->estimate;
+    }
+    if (estimate == nullptr) {
       estimate::EstimatorOptions eopts;
       if (options.nnz_sample_fraction > 0.0) {
         eopts.row_sample_fraction = options.nnz_sample_fraction;
       }
       eopts.seed = options.estimator_seed;
-      local_est = estimate::EstimateProduct(a, b, eopts);
-      sampled_est = &local_est;
+      estimate = std::make_shared<const estimate::ProductEstimate>(
+          estimate::EstimateProduct(a, b, eopts));
     }
-    row_estimate = sampled_est->row_nnz;
-    estimate_ptr = &row_estimate;
-  } else if (options.nnz_sample_fraction > 0.0) {
-    row_estimate =
-        sparse::EstimateRowNnz(a, b, options.nnz_sample_fraction).per_row;
-    estimate_ptr = &row_estimate;
+    if (estimate->row_nnz.size() != static_cast<std::size_t>(a.rows())) {
+      return Status::InvalidArgument("the estimate is of another product");
+    }
+    estimate_ptr = &estimate->row_nnz;
+  } else {
+    estimate = nullptr;
+    if (options.nnz_sample_fraction > 0.0) {
+      row_estimate =
+          sparse::EstimateRowNnz(a, b, options.nnz_sample_fraction).per_row;
+      estimate_ptr = &row_estimate;
+    }
   }
 
   auto row_bounds_for = [&](int nr) {
     return estimate_ptr != nullptr
-               ? WeightBalancedBoundaries(row_estimate, nr)
+               ? WeightBalancedBoundaries(*estimate_ptr, nr)
                : UniformBoundaries(a.rows(), nr);
   };
 
@@ -202,23 +191,19 @@ StatusOr<PanelPlan> PlanPanels(const sparse::Csr& a, const sparse::Csr& b,
     const int max_nr =
         std::min<int>(kMaxPanelsPerDim, std::max(1, a.rows()));
 
-    // Estimate mode hoists the O(nnz(B)) column sweep out of the row
-    // search: every probe below is then O(rows + nr * nc).
-    std::vector<std::int64_t> b_col_nnz;
-    if (sampled_est != nullptr) b_col_nnz = ColPanelNnz(b, cb);
+    // The O(nnz(B)) column sweep stays out of the row search.
+    const std::vector<std::int64_t> b_col_nnz = ColPanelNnz(b, cb);
 
     auto fits = [&](int nr, ChunkSizing* out_sizing) {
-      PanelBoundaries rb = row_bounds_for(nr);
-      ChunkSizing s =
-          sampled_est != nullptr
-              ? SizeChunksEstimated(a, rb, b, cb, b_col_nnz, *sampled_est,
-                                    options.nnz_safety_factor)
-              : SizeChunks(a, rb, b, cb, estimate_ptr,
-                           options.nnz_safety_factor);
-      if (out_sizing) *out_sizing = s;
+      ChunkSizing s = SizeChunks(a, row_bounds_for(nr), b, cb, b_col_nnz,
+                                 estimate.get(), estimate_ptr,
+                                 options.nnz_safety_factor);
       // Panel cache: two slots per matrix so uploads can double-buffer.
-      return 2 * (s.max_a + s.max_b) + s.max_working_set * options.buffers <=
-             budget;
+      const bool fit =
+          2 * (s.max_a + s.max_b) + s.max_working_set * options.buffers <=
+          budget;
+      if (out_sizing) *out_sizing = std::move(s);
+      return fit;
     };
 
     // Coarse doubling, then binary refinement to the smallest fitting nr
@@ -244,17 +229,15 @@ StatusOr<PanelPlan> PlanPanels(const sparse::Csr& a, const sparse::Csr& b,
     plan.num_col_panels = nc;
     plan.row_bounds = row_bounds_for(hi);
     plan.col_bounds = cb;
+    plan.chunks = std::move(s.chunks);
     plan.pool_bytes = s.max_working_set;
     plan.max_a_panel_bytes = s.max_a;
     plan.max_b_panel_bytes = s.max_b;
     plan.max_output_bytes = s.max_out;
-    plan.row_nnz_estimate = row_estimate;
-    plan.accumulator = options.accumulator;
-    if (sampled_est != nullptr) {
-      plan.estimated = true;
-      plan.row_products_estimate = sampled_est->row_products;
-      plan.estimate_rel_stderr = sampled_est->rel_stderr;
-    }
+    plan.device_capacity = device_capacity;
+    plan.options = options;
+    plan.options.prior = nullptr;
+    plan.estimate = std::move(estimate);
     return plan;
   }
   return Status::FailedPrecondition(
@@ -266,30 +249,38 @@ StatusOr<PanelPlan> PlanPanels(const sparse::Csr& a, const sparse::Csr& b,
 
 StatusOr<std::vector<PanelPlan>> PlanSharedOperandPanels(
     const std::vector<const sparse::Csr*>& as, const sparse::Csr& b,
-    std::int64_t device_capacity, const PlanOptions& options) {
+    std::int64_t device_capacity, const PlanOptions& options,
+    const std::vector<std::shared_ptr<const PanelPlan>>& priors) {
   if (as.empty()) {
     return Status::InvalidArgument("shared-operand plan needs at least one A");
   }
-  // Pass 1: each member's individually preferred split.
-  int shared_nc = std::max(1, options.forced_col_panels);
-  for (const sparse::Csr* a : as) {
-    OOC_CHECK(a != nullptr);
-    auto plan = PlanPanels(*a, b, device_capacity, options);
-    if (!plan.ok()) return plan.status();
-    shared_nc = std::max(shared_nc, plan->num_col_panels);
-  }
-  // Pass 2: re-plan every member under the common column split.  Uniform
-  // boundaries depend only on (b.cols, shared_nc), so all members end up
-  // with identical col_bounds — the invariant the batch executor relies on.
-  PlanOptions forced = options;
-  forced.forced_col_panels = shared_nc;
+  OOC_CHECK(priors.empty() || priors.size() == as.size());
+  // Pass 1: each member's own plan.
   std::vector<PanelPlan> plans;
   plans.reserve(as.size());
-  for (const sparse::Csr* a : as) {
-    auto plan = PlanPanels(*a, b, device_capacity, forced);
+  int shared_nc = 1;
+  for (std::size_t i = 0; i < as.size(); ++i) {
+    OOC_CHECK(as[i] != nullptr);
+    PlanOptions own = options;
+    own.prior = priors.empty() ? nullptr : priors[i];
+    auto plan = PlanPanels(*as[i], b, device_capacity, own);
+    if (!plan.ok()) return plan.status();
+    shared_nc = std::max(shared_nc, plan->num_col_panels);
+    plans.push_back(std::move(plan).value());
+  }
+  // Pass 2: plan members with another column count again under the shared
+  // one (for the rest, the forced search would repeat their own).  Uniform
+  // boundaries depend only on (b.cols, shared_nc), so all col_bounds agree.
+  PlanOptions forced = options;
+  forced.prior = nullptr;
+  forced.forced_col_panels = shared_nc;
+  for (std::size_t i = 0; i < as.size(); ++i) {
+    if (plans[i].num_col_panels == shared_nc) continue;
+    auto plan = PlanPanels(*as[i], b, device_capacity, forced,
+                           plans[i].estimate);
     if (!plan.ok()) return plan.status();
     OOC_CHECK(plan->num_col_panels == shared_nc);
-    plans.push_back(std::move(plan).value());
+    plans[i] = std::move(plan).value();
   }
   return plans;
 }

@@ -11,15 +11,17 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/status.hpp"
 #include "estimate/estimator.hpp"
-#include "kernels/accumulators.hpp"
 #include "partition/chunk.hpp"
 #include "partition/panels.hpp"
 #include "sparse/csr.hpp"
 
 namespace oocgemm::partition {
+
+struct PanelPlan;
 
 struct PlanOptions {
   /// Fraction of device memory the plan may use (headroom for allocator
@@ -43,22 +45,19 @@ struct PlanOptions {
   /// Estimation-based planning (OCEAN): replace the sampled-symbolic
   /// analysis (EstimateRowNnz + AnalyzeChunks, O(nnz) walks per search
   /// probe) with the structure-only estimate::EstimateProduct.  Panel
-  /// balancing, pool sizing and chunk seeding then come from estimates;
-  /// PanelPlan::estimated marks the result so executors correct run stats
-  /// from exact per-chunk counts as they execute.
+  /// balancing, pool sizing and the chunk grid then come from estimates.
   bool use_sampling_estimator = false;
   /// Seed for the sampling estimator (estimates are deterministic in it).
   std::uint64_t estimator_seed = 1;
-  /// Optional precomputed estimate for this exact (A, B) pair — admission
-  /// already paid for one; shared_ptr so the hint survives job copies.
-  /// Ignored (recomputed) when its row count does not match A.
-  std::shared_ptr<const estimate::ProductEstimate> estimate_hint;
-  /// Accumulator strategy the chunk phases will run with; kAuto routes per
-  /// row group through the kernel registry.  Recorded on the plan so the
-  /// whole pipeline (planner -> executors -> kernels) agrees on one choice.
-  kernels::AccumulatorKind accumulator = kernels::AccumulatorKind::kAuto;
+  /// A plan already made for this product (admission's).  PlanPanels runs
+  /// it when PlanMadeFor holds, else plans again from its estimate.
+  std::shared_ptr<const PanelPlan> prior;
+
+  /// Field-wise, prior included (defaulted in the .cpp).
+  bool operator==(const PlanOptions& other) const;
 };
 
+/// The whole record of a plan: what executors run, and what it was made for.
 struct PanelPlan {
   int num_row_panels = 1;
   int num_col_panels = 1;
@@ -66,10 +65,9 @@ struct PanelPlan {
   /// equal predicted chunk payloads); column panels are uniform.
   PanelBoundaries row_bounds;
   PanelBoundaries col_bounds;
-  /// The sampled-symbolic per-row output prediction the plan was built
-  /// from (empty when the estimator is disabled); callers reuse it for
-  /// chunk analysis so estimated_nnz is consistent with the pool sizing.
-  std::vector<double> row_nnz_estimate;
+  /// The row-major chunk grid the pools are sized from (GetFlops of
+  /// Algorithm 4): AnalyzeChunks, or EstimateChunks on an estimated plan.
+  std::vector<ChunkDesc> chunks;
   /// Size of each per-chunk memory pool: pipeline scratch plus the
   /// worst-case output.  Input panels live in the separate panel cache.
   std::int64_t pool_bytes = 0;
@@ -79,45 +77,42 @@ struct PanelPlan {
   std::int64_t max_b_panel_bytes = 0;
   std::int64_t max_output_bytes = 0;
 
-  /// True when the plan was built by the sampling estimator: row_nnz_estimate
-  /// / row_products_estimate are estimate::EstimateProduct outputs, chunk
-  /// stats seeded from them are estimates, and executors report exact flops
-  /// from per-chunk counts instead of trusting the plan.
-  bool estimated = false;
-  /// Per-row estimated multiply counts (only when estimated).
-  std::vector<double> row_products_estimate;
-  /// The estimate's SRS relative standard error (only when estimated).
-  double estimate_rel_stderr = 0.0;
+  /// What the plan was made for (options.prior is null here).
+  std::int64_t device_capacity = 0;
+  PlanOptions options;
+  /// The estimate the plan was made from; null on exact plans.  Executors
+  /// report exact flops from per-chunk counts on estimated plans.
+  std::shared_ptr<const estimate::ProductEstimate> estimate;
 
-  /// The accumulator strategy from PlanOptions, carried along so executors
-  /// route kernels the way the plan was costed.
-  kernels::AccumulatorKind accumulator = kernels::AccumulatorKind::kAuto;
-
+  bool estimated() const { return estimate != nullptr; }
+  int num_chunks() const { return static_cast<int>(chunks.size()); }
   std::string DebugString() const;
 };
 
+/// The reuse rule: `plan` was made for `device_capacity` and `options`,
+/// options.prior aside.
+bool PlanMadeFor(const PanelPlan& plan, std::int64_t device_capacity,
+                 const PlanOptions& options);
+
 /// Plans panel counts for C = A * B on a device with `device_capacity`
-/// bytes.  Fails with FailedPrecondition if no partitioning within the
-/// search bound fits (device too small even for 1-row panels).
-StatusOr<PanelPlan> PlanPanels(const sparse::Csr& a, const sparse::Csr& b,
-                               std::int64_t device_capacity,
-                               const PlanOptions& options = {});
+/// bytes, or returns options.prior when PlanMadeFor holds.  Estimate mode
+/// plans from `estimate`, else the prior's, else a fresh one.  A plan made
+/// counts in oocgemm_partition_plans.  Fails with FailedPrecondition if no
+/// partitioning within the search bound fits.
+StatusOr<PanelPlan> PlanPanels(
+    const sparse::Csr& a, const sparse::Csr& b, std::int64_t device_capacity,
+    const PlanOptions& options = {},
+    std::shared_ptr<const estimate::ProductEstimate> estimate = nullptr);
 
 /// Plans panels for a batch of products C_i = A_i * B sharing the operand
-/// B: each job is planned individually first, then every job is re-planned
-/// under one common column split (the max column-panel count any member
-/// needs), so the column boundaries — and hence the device panel cache ids
-/// — of B agree across the whole batch.  Returns one plan per input A, in
-/// order; fails if any member cannot fit the device under the shared split.
+/// B under one common column split (the max any member needs), so B's
+/// column boundaries — and panel cache ids — agree across the batch.
+/// `priors` (empty or parallel to `as`) are the members' own plans, run
+/// under the PlanPanels rule; only a member with another column count is
+/// planned again.  Returns one plan per A; fails if any member cannot fit.
 StatusOr<std::vector<PanelPlan>> PlanSharedOperandPanels(
     const std::vector<const sparse::Csr*>& as, const sparse::Csr& b,
-    std::int64_t device_capacity, const PlanOptions& options = {});
-
-/// Working-set bytes of the worst chunk under the given boundaries
-/// (exposed for tests and the planner's internals).
-std::int64_t MaxChunkWorkingSetBytes(const sparse::Csr& a,
-                                     const PanelBoundaries& row_bounds,
-                                     const sparse::Csr& b,
-                                     const PanelBoundaries& col_bounds);
+    std::int64_t device_capacity, const PlanOptions& options = {},
+    const std::vector<std::shared_ptr<const PanelPlan>>& priors = {});
 
 }  // namespace oocgemm::partition

@@ -24,16 +24,17 @@ std::int64_t EstBytesOut(double est_nnz_out, sparse::index_t rows) {
           static_cast<std::int64_t>(sizeof(sparse::offset_t))));
 }
 
-void FillPlanDemand(const sparse::Csr& a, const sparse::Csr& b,
-                    std::int64_t device_capacity,
-                    const partition::PlanOptions& plan_opts, JobDemand* d) {
-  auto plan = partition::PlanPanels(a, b, device_capacity, plan_opts);
+/// Plans the job under `plan_opts`, always anew (a prior is dropped).
+void FillPlanDemand(
+    const sparse::Csr& a, const sparse::Csr& b, std::int64_t device_capacity,
+    partition::PlanOptions plan_opts,
+    std::shared_ptr<const estimate::ProductEstimate> estimate, JobDemand* d) {
+  plan_opts.prior = nullptr;
+  auto plan = partition::PlanPanels(a, b, device_capacity, plan_opts,
+                                    std::move(estimate));
   if (plan.ok()) {
-    d->gpu_feasible = true;
-    d->planned_chunks = plan->num_row_panels * plan->num_col_panels;
-    d->planned_device_bytes =
-        2 * plan->pool_bytes +
-        2 * (plan->max_a_panel_bytes + plan->max_b_panel_bytes);
+    d->plan = std::make_shared<const partition::PanelPlan>(
+        std::move(plan).value());
   }
 }
 
@@ -48,7 +49,7 @@ void FillExecSeconds(const core::ExecutorOptions& exec,
       model != nullptr ? model->AdmissionRates(static_rates) : static_rates;
   d->est_exec_seconds = calibrate::EstimateExecSeconds(
       d->flops, common::SaturatingAdd(d->bytes_a, d->bytes_b),
-      d->est_bytes_out, d->gpu_feasible, d->planned_chunks, rates);
+      d->est_bytes_out, d->gpu_feasible(), d->planned_chunks(), rates);
 }
 
 void RecordAnalysisSeconds(const char* mode, double seconds) {
@@ -106,8 +107,7 @@ JobDemand EstimateJobDemand(const sparse::Csr& a, const sparse::Csr& b,
   // be the estimator-free baseline (and the fallback).
   partition::PlanOptions plan_opts = exec.plan;
   plan_opts.use_sampling_estimator = false;
-  plan_opts.estimate_hint.reset();
-  FillPlanDemand(a, b, device_capacity, plan_opts, &d);
+  FillPlanDemand(a, b, device_capacity, plan_opts, nullptr, &d);
   FillExecSeconds(exec, model, &d);
   d.analysis_seconds = timer.Seconds();
   RecordAnalysisSeconds("exact", d.analysis_seconds);
@@ -120,7 +120,7 @@ JobDemand EstimateJobDemandSampled(const sparse::Csr& a, const sparse::Csr& b,
                                    const estimate::EstimatorOptions& opts,
                                    const calibrate::CalibratedModel* model) {
   WallTimer timer;
-  auto est = std::make_shared<estimate::ProductEstimate>(
+  auto est = std::make_shared<const estimate::ProductEstimate>(
       estimate::EstimateProduct(a, b, opts));
   if (!est->reliable) {
     // The estimator's own variance check failed: price the job exactly.
@@ -149,10 +149,8 @@ JobDemand EstimateJobDemandSampled(const sparse::Csr& a, const sparse::Csr& b,
   partition::PlanOptions plan_opts = exec.plan;
   plan_opts.use_sampling_estimator = true;
   plan_opts.estimator_seed = opts.seed;
-  plan_opts.estimate_hint = est;
-  FillPlanDemand(a, b, device_capacity, plan_opts, &d);
+  FillPlanDemand(a, b, device_capacity, plan_opts, std::move(est), &d);
   FillExecSeconds(exec, model, &d);
-  d.estimate = std::move(est);
   d.analysis_seconds = timer.Seconds();
   RecordAnalysisSeconds("estimate", d.analysis_seconds);
   return d;
@@ -177,7 +175,7 @@ bool NeedsDevice(core::ExecutionMode mode) {
 
 Status AdmissionController::Admit(const JobDemand& demand,
                                   core::ExecutionMode mode) {
-  if (NeedsDevice(mode) && !demand.gpu_feasible) {
+  if (NeedsDevice(mode) && !demand.gpu_feasible()) {
     return Status::FailedPrecondition(
         "job requires the device but no panel split fits its memory");
   }

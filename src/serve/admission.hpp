@@ -7,7 +7,8 @@
 //    job's host-memory footprint;
 //  * partition::PlanPanels answers GPU feasibility ("is there any panel
 //    split whose worst chunk working set fits device memory?") and, when
-//    feasible, the exact pool bytes the pipeline will pre-allocate.
+//    feasible, makes the plan the job then runs, with the exact pool bytes
+//    the pipeline will pre-allocate.
 //
 // Jobs whose demand can never fit are rejected immediately (never OOM
 // mid-flight); jobs that merely exceed the *current* outstanding host-bytes
@@ -28,6 +29,7 @@
 #include "core/executor_options.hpp"
 #include "core/spgemm.hpp"
 #include "estimate/estimator.hpp"
+#include "partition/panel_plan.hpp"
 #include "sparse/csr.hpp"
 
 namespace oocgemm::serve {
@@ -71,13 +73,20 @@ struct JobDemand {
            common::IsSaturated(host_bytes());
   }
 
-  /// True when the panel planner found a partitioning that fits the device.
-  bool gpu_feasible = false;
-  /// Chunk count of that plan (1 == in-core, the "small job" signal).
-  int planned_chunks = 0;
-  /// Device bytes the asynchronous pipeline will pre-allocate under that
+  /// The panel plan admission made, with the estimate behind it on an
+  /// estimated demand; null when no split fits the device.  The job runs
+  /// it: the scheduler hands it to the executor.
+  std::shared_ptr<const partition::PanelPlan> plan;
+  bool gpu_feasible() const { return plan != nullptr; }
+  /// Chunk count of the plan (1 == in-core, the "small job" signal).
+  int planned_chunks() const { return plan ? plan->num_chunks() : 0; }
+  /// Device bytes the asynchronous pipeline will pre-allocate under the
   /// plan: double-buffered chunk pools plus the panel-cache slots.
-  std::int64_t planned_device_bytes = 0;
+  std::int64_t planned_device_bytes() const {
+    return plan ? 2 * plan->pool_bytes + 2 * (plan->max_a_panel_bytes +
+                                              plan->max_b_panel_bytes)
+                : 0;
+  }
 
   /// True when the demand was priced by the sampling estimator.
   bool estimated = false;
@@ -94,10 +103,6 @@ struct JobDemand {
   /// when a model was supplied, the static rates otherwise.  The quantity
   /// AdmissionLimits::max_est_exec_seconds gates on.
   double est_exec_seconds = 0.0;
-  /// The structure estimate behind an estimated demand; the server threads
-  /// it into ExecutorOptions::plan as the planner's hint so the job's run
-  /// never re-estimates.
-  std::shared_ptr<const estimate::ProductEstimate> estimate;
 };
 
 /// Runs the exact estimators; never touches the device.  `model` (may be

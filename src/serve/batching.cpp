@@ -15,7 +15,7 @@ OperandFingerprint FingerprintOperand(const sparse::Csr& m) {
 
 bool BatchEligible(const ScheduledJob& item) {
   if (item.job.b == nullptr || item.job.a == nullptr) return false;
-  if (!item.demand.gpu_feasible) return false;
+  if (!item.demand.gpu_feasible()) return false;
   const core::ExecutionMode mode = item.job.options.mode;
   return mode == core::ExecutionMode::kAuto ||
          mode == core::ExecutionMode::kGpuOutOfCore;
@@ -41,7 +41,7 @@ std::int64_t BatchPlannedDeviceBytes(
     const std::vector<std::unique_ptr<ScheduledJob>>& batch) {
   std::int64_t bytes = 0;
   for (const auto& item : batch) {
-    bytes = std::max(bytes, item->demand.planned_device_bytes);
+    bytes = std::max(bytes, item->demand.planned_device_bytes());
   }
   return bytes;
 }

@@ -237,6 +237,9 @@ void Scheduler::RunJob(ScheduledJob& item) {
   // (exec.max_oom_attempts); each executor call inside makes one attempt.
   core::ExecutorOptions exec = opts.exec;
   exec.cancel = item.cancel.get();
+  // Admission's plan is the job's plan: it runs on any device of the size
+  // it was made for, and an overflow retry or a synchronous run plans again.
+  exec.plan.prior = item.demand.plan;
   if (config_.kernel != kernels::AccumulatorKind::kAuto) {
     exec.spgemm.accumulator = config_.kernel;
   }
@@ -264,11 +267,11 @@ void Scheduler::RunJob(ScheduledJob& item) {
     gpu_lane_indices.clear();
     core::DevicePool::Slot slot;
     std::vector<core::DevicePool::Slot> span;
-    const std::int64_t want = item.demand.planned_device_bytes;
+    const std::int64_t want = item.demand.planned_device_bytes();
     if (mode == core::ExecutionMode::kAuto) {
-      if (!item.demand.gpu_feasible) {
+      if (!item.demand.gpu_feasible()) {
         mode = core::ExecutionMode::kCpuOnly;
-      } else if (item.demand.planned_chunks <= kSmallJobChunks) {
+      } else if (item.demand.planned_chunks() <= kSmallJobChunks) {
         slot = devices_.TryAcquire(want);
         mode = slot.held() ? core::ExecutionMode::kGpuOutOfCore
                            : core::ExecutionMode::kCpuOnly;
@@ -431,9 +434,9 @@ void Scheduler::RunBatch(std::vector<std::unique_ptr<ScheduledJob>>& batch) {
   }
   for (auto& item : live) WatchJob(*item);
 
-  // The leader's executor config drives the batch; per-member cancels go
-  // through the specs.  Pool overflow replans the whole batch with the
-  // same policy as the per-job path, on the leader's budget.
+  // The leader's executor config drives the batch; per-member cancels and
+  // admission plans go through the specs.  Pool overflow replans the whole
+  // batch with the same policy as the per-job path, on the leader's budget.
   const ScheduledJob& leader = *live.front();
   core::ExecutorOptions exec = leader.job.options.exec;
   exec.cancel = nullptr;
@@ -452,6 +455,7 @@ void Scheduler::RunBatch(std::vector<std::unique_ptr<ScheduledJob>>& batch) {
     core::BatchJobSpec spec;
     spec.a = item->job.a.get();
     spec.cancel = item->cancel.get();
+    spec.plan = item->demand.plan;
     specs.push_back(spec);
   }
 

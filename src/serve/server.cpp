@@ -99,13 +99,9 @@ std::future<JobResult> SpgemmServer::Submit(SpgemmJob job) {
                   "Admission decisions by the demand path that priced them "
                   "(estimate-mode fallbacks count as exact)")
       .Add(1);
-  if (demand.estimated) {
-    // The run should plan and order chunks from the estimate admission
-    // already paid for — not re-run the exact analysis.
-    job.options.exec.plan.use_sampling_estimator = true;
-    job.options.exec.plan.estimator_seed = config_.estimator.seed;
-    job.options.exec.plan.estimate_hint = demand.estimate;
-  }
+  // The job runs under the options admission planned it with, so the
+  // scheduler's hand-over of demand.plan is a plan made for them.
+  if (demand.plan != nullptr) job.options.exec.plan = demand.plan->options;
   Status admitted = admission_.Admit(demand, job.options.mode);
   if (!admitted.ok()) {
     return Reject(id, std::move(admitted), job.options.tenant);

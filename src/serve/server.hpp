@@ -13,7 +13,8 @@
 //   serve::SpgemmServer server({&dev0, &dev1, &dev2}, pool);
 //
 // Submission runs validation, demand estimation and admission control on
-// the caller's thread (cheap — estimator plus panel planning); accepted
+// the caller's thread (cheap — estimator plus panel planning, and the plan
+// made there is the one the job runs on a device of that size); accepted
 // jobs enter the bounded priority queue, rejected ones resolve their
 // future immediately with the rejection status.  Every submitted job's
 // future is eventually fulfilled — there is no silent drop path.
@@ -50,8 +51,8 @@ struct ServerConfig {
   AdmissionLimits admission;
   /// How Submit prices jobs: kExact runs the full analysis pass per
   /// submission; kEstimate prices from the OCEAN sampling estimator (with
-  /// per-job fallback to exact when the sample is unreliable) and seeds the
-  /// job's panel plan and chunk order from the same estimate.
+  /// per-job fallback to exact when the sample is unreliable) and plans the
+  /// job from the same estimate.  Either way the job runs admission's plan.
   AdmissionMode admission_mode = AdmissionMode::kExact;
   /// Sampling estimator configuration for kEstimate (seed, sample rate,
   /// variance cutoff).

@@ -1,7 +1,10 @@
 #include "vgpu/device.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstring>
+#include <new>
 
 namespace oocgemm::vgpu {
 
@@ -21,9 +24,26 @@ DeviceProperties ScaledV100Properties(int mem_shift) {
   return p;
 }
 
+namespace {
+
+std::byte* MapArena(std::size_t bytes) {
+  if (bytes == 0) return nullptr;
+  void* arena = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (arena == MAP_FAILED) throw std::bad_alloc();
+  return static_cast<std::byte*>(arena);
+}
+
+}  // namespace
+
+void Device::ArenaUnmap::operator()(std::byte* arena) const {
+  munmap(arena, bytes);
+}
+
 Device::Device(DeviceProperties props)
     : props_(std::move(props)),
-      arena_(static_cast<std::size_t>(props_.memory_bytes)),
+      arena_(MapArena(static_cast<std::size_t>(props_.memory_bytes)),
+             ArenaUnmap{static_cast<std::size_t>(props_.memory_bytes)}),
       allocator_(props_.memory_bytes) {
   sync_stream_ = CreateStream("sync-copies");
   BindMetrics();
@@ -96,14 +116,14 @@ void Device::Free(HostContext& host, DevicePtr ptr) {
 
 std::byte* Device::Raw(DevicePtr ptr) {
   OOC_CHECK(!ptr.is_null());
-  OOC_CHECK(ptr.offset + ptr.size <= static_cast<std::int64_t>(arena_.size()));
-  return arena_.data() + ptr.offset;
+  OOC_CHECK(ptr.offset + ptr.size <= props_.memory_bytes);
+  return arena_.get() + ptr.offset;
 }
 
 const std::byte* Device::Raw(DevicePtr ptr) const {
   OOC_CHECK(!ptr.is_null());
-  OOC_CHECK(ptr.offset + ptr.size <= static_cast<std::int64_t>(arena_.size()));
-  return arena_.data() + ptr.offset;
+  OOC_CHECK(ptr.offset + ptr.size <= props_.memory_bytes);
+  return arena_.get() + ptr.offset;
 }
 
 Stream* Device::CreateStream(const std::string& name) {

@@ -290,10 +290,18 @@ class Device {
   void MarkDead(const std::string& description);
   void ScrambleBytes(void* data, std::int64_t bytes);
 
+  /// Unmaps the host arena; `bytes` is its length.
+  struct ArenaUnmap {
+    std::size_t bytes = 0;
+    void operator()(std::byte* arena) const;
+  };
+
   DeviceProperties props_;
   int id_ = 0;
   DeviceMetrics metrics_;
-  std::vector<std::byte> arena_;
+  /// The device memory's host backing: an anonymous mapping, so every byte
+  /// reads zero and a page is backed only once a copy or kernel writes it.
+  std::unique_ptr<std::byte[], ArenaUnmap> arena_;
   FreeListAllocator allocator_;
   Resource compute_{"compute"};
   Resource h2d_{"h2d"};

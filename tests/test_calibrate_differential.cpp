@@ -34,9 +34,9 @@ void ExpectDemandsIdentical(const serve::JobDemand& s,
   EXPECT_EQ(s.bytes_a, c.bytes_a);
   EXPECT_EQ(s.bytes_b, c.bytes_b);
   EXPECT_EQ(s.est_bytes_out, c.est_bytes_out);
-  EXPECT_EQ(s.gpu_feasible, c.gpu_feasible);
-  EXPECT_EQ(s.planned_chunks, c.planned_chunks);
-  EXPECT_EQ(s.planned_device_bytes, c.planned_device_bytes);
+  EXPECT_EQ(s.gpu_feasible(), c.gpu_feasible());
+  EXPECT_EQ(s.planned_chunks(), c.planned_chunks());
+  EXPECT_EQ(s.planned_device_bytes(), c.planned_device_bytes());
   EXPECT_EQ(s.est_exec_seconds, c.est_exec_seconds);  // bitwise
 }
 

@@ -32,7 +32,7 @@ struct BatchFixture {
 
   std::vector<BatchJobSpec> Specs() const {
     std::vector<BatchJobSpec> specs;
-    for (const Csr& a : as) specs.push_back(BatchJobSpec{&a, nullptr});
+    for (const Csr& a : as) specs.push_back(BatchJobSpec{&a, nullptr, nullptr});
     return specs;
   }
 };
@@ -121,7 +121,7 @@ TEST(BatchedOutOfCore, RejectsEmptyAndNullInputs) {
   auto empty = BatchedOutOfCore(device, {}, b, ExecutorOptions{}, pool);
   EXPECT_EQ(empty.status().code(), StatusCode::kInvalidArgument);
 
-  std::vector<BatchJobSpec> specs{BatchJobSpec{nullptr, nullptr}};
+  std::vector<BatchJobSpec> specs{BatchJobSpec{}};
   auto null_a = BatchedOutOfCore(device, specs, b, ExecutorOptions{}, pool);
   EXPECT_EQ(null_a.status().code(), StatusCode::kInvalidArgument);
 }
@@ -140,7 +140,7 @@ TEST(PrepareSharedOperandProblems, MembersShareOneColumnSplitAndBPanels) {
   const PreparedProblem& first = preps->front();
   for (const PreparedProblem& p : preps.value()) {
     EXPECT_EQ(p.plan.num_col_panels, first.plan.num_col_panels);
-    EXPECT_EQ(p.col_bounds.begin, first.col_bounds.begin);
+    EXPECT_EQ(p.plan.col_bounds.begin, first.plan.col_bounds.begin);
     // The host B panels are shared, not copied.
     EXPECT_EQ(p.b_panels.get(), first.b_panels.get());
   }

@@ -61,10 +61,11 @@ TEST(EstimatePlanning, PlanMarksEstimatedAndCarriesRowEstimates) {
   auto plan = partition::PlanPanels(a, a, /*device_capacity=*/1 << 20,
                                     EstimateOptions().plan);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_TRUE(plan->estimated);
-  EXPECT_EQ(plan->row_nnz_estimate.size(),
+  EXPECT_TRUE(plan->estimated());
+  ASSERT_NE(plan->estimate, nullptr);
+  EXPECT_EQ(plan->estimate->row_nnz.size(),
             static_cast<std::size_t>(a.rows()));
-  EXPECT_EQ(plan->row_products_estimate.size(),
+  EXPECT_EQ(plan->estimate->row_products.size(),
             static_cast<std::size_t>(a.rows()));
   EXPECT_GE(plan->num_row_panels, 1);
   EXPECT_GT(plan->pool_bytes, 0);
@@ -72,16 +73,21 @@ TEST(EstimatePlanning, PlanMarksEstimatedAndCarriesRowEstimates) {
 
 TEST(EstimatePlanning, PlanReusesTheAdmissionHint) {
   const Csr a = testutil::RandomRmat(10, 8.0, 3);
-  partition::PlanOptions opts = EstimateOptions().plan;
-  auto hint = std::make_shared<estimate::ProductEstimate>(
+  auto hint = std::make_shared<const estimate::ProductEstimate>(
       estimate::EstimateProduct(a, a, estimate::EstimatorOptions{}));
-  opts.estimate_hint = hint;
-  auto plan = partition::PlanPanels(a, a, 1 << 20, opts);
+  auto plan =
+      partition::PlanPanels(a, a, 1 << 20, EstimateOptions().plan, hint);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_TRUE(plan->estimated);
-  // The plan's per-row vectors are the hint's, not a recomputation.
-  EXPECT_EQ(plan->row_nnz_estimate, hint->row_nnz);
-  EXPECT_EQ(plan->row_products_estimate, hint->row_products);
+  EXPECT_TRUE(plan->estimated());
+  // The plan rides on admission's estimate, not a recomputation.
+  EXPECT_EQ(plan->estimate, hint);
+  // An estimate of another product is refused, not used.
+  const Csr other = testutil::RandomRmat(9, 8.0, 3);
+  EXPECT_EQ(partition::PlanPanels(other, other, 1 << 20,
+                                  EstimateOptions().plan, hint)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(EstimatePlanning, EstimatedChunksKeepTheDenseUpperBound) {
@@ -89,13 +95,9 @@ TEST(EstimatePlanning, EstimatedChunksKeepTheDenseUpperBound) {
   auto plan =
       partition::PlanPanels(a, a, 1 << 20, EstimateOptions().plan);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  ASSERT_TRUE(plan->estimated);
+  ASSERT_TRUE(plan->estimated());
 
-  const std::vector<std::int64_t> col_nnz =
-      partition::ColPanelNnz(a, plan->col_bounds);
-  const auto chunks = partition::EstimateChunks(
-      plan->row_bounds, plan->col_bounds, plan->row_nnz_estimate,
-      plan->row_products_estimate, col_nnz, a.nnz());
+  const std::vector<partition::ChunkDesc>& chunks = plan->chunks;
   ASSERT_EQ(chunks.size(),
             static_cast<std::size_t>(plan->num_row_panels) *
                 static_cast<std::size_t>(plan->num_col_panels));
@@ -122,7 +124,7 @@ TEST(EstimatePlanning, EstimatedChunksKeepTheDenseUpperBound) {
   // The chunk grid's flop estimate must agree with the row estimate it was
   // spread from (the spread is exact up to rounding).
   double row_flops = 0.0;
-  for (double p : plan->row_products_estimate) row_flops += 2.0 * p;
+  for (double p : plan->estimate->row_products) row_flops += 2.0 * p;
   EXPECT_NEAR(est_flops, row_flops,
               1.0 + 1e-6 * row_flops +
                   static_cast<double>(chunks.size()));
@@ -182,7 +184,7 @@ TEST(EstimateExecution, BatchedEstimateModeMatchesReference) {
     as.push_back(testutil::RandomCsr(b.rows(), b.rows(), 6.0, 900 + i));
   }
   std::vector<core::BatchJobSpec> specs;
-  for (const Csr& a : as) specs.push_back(core::BatchJobSpec{&a, nullptr});
+  for (const Csr& a : as) specs.push_back(core::BatchJobSpec{&a, nullptr, nullptr});
 
   auto run =
       core::BatchedOutOfCore(device, specs, b, EstimateOptions(), pool);

@@ -131,6 +131,21 @@ TEST(MetricsExporters, FormatMetricValue) {
   EXPECT_EQ(FormatMetricValue(1e18), "1e+18");
 }
 
+TEST(MetricsExporters, CounterNamedWithTotalExportsOneSuffix) {
+  MetricsRegistry reg;
+  reg.GetCounter("test_admissions_total", {{"mode", "exact"}}, "Admissions")
+      .Add(48);
+  reg.GetDoubleCounter("test_seconds_total", {}, "Seconds").Add(0.5);
+  const std::string expected =
+      "# HELP test_admissions_total Admissions\n"
+      "# TYPE test_admissions_total counter\n"
+      "test_admissions_total{mode=\"exact\"} 48\n"
+      "# HELP test_seconds_total Seconds\n"
+      "# TYPE test_seconds_total counter\n"
+      "test_seconds_total 0.5\n";
+  EXPECT_EQ(ToPrometheusText(reg.Snapshot()), expected);
+}
+
 TEST(MetricsExporters, MissingHelpFallsBackToName) {
   MetricsRegistry reg;
   reg.GetCounter("test_nohelp").Add(1);

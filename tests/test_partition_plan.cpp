@@ -2,12 +2,114 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "obs/metrics.hpp"
 #include "test_util.hpp"
 
 namespace oocgemm::partition {
 namespace {
 
 using sparse::Csr;
+
+/// Plans made (not reused) so far, from the oocgemm_partition_plans counter.
+std::int64_t PlansMade() {
+  return static_cast<std::int64_t>(
+      obs::MetricsRegistry::Default().Snapshot().Value(
+          "oocgemm_partition_plans"));
+}
+
+std::shared_ptr<const PanelPlan> Shared(StatusOr<PanelPlan> plan) {
+  OOC_CHECK(plan.ok());
+  return std::make_shared<const PanelPlan>(std::move(plan).value());
+}
+
+TEST(PlanReuse, PriorRunsUnchangedForTheSameCapacityAndOptions) {
+  const Csr a = testutil::RandomRmat(10, 8.0, 2);
+  const std::int64_t capacity = 1 << 20;
+  PlanOptions options;
+  const auto prior = Shared(PlanPanels(a, a, capacity, options));
+  EXPECT_EQ(prior->device_capacity, capacity);
+  EXPECT_TRUE(prior->options == options);
+  ASSERT_EQ(prior->num_chunks(),
+            prior->num_row_panels * prior->num_col_panels);
+  EXPECT_TRUE(PlanMadeFor(*prior, capacity, options));
+
+  options.prior = prior;
+  const std::int64_t before = PlansMade();
+  auto run = PlanPanels(a, a, capacity, options);
+  ASSERT_TRUE(run.ok());
+  EXPECT_EQ(PlansMade(), before);  // reused, not planned
+  EXPECT_EQ(run->row_bounds.begin, prior->row_bounds.begin);
+  EXPECT_EQ(run->col_bounds.begin, prior->col_bounds.begin);
+  EXPECT_EQ(run->pool_bytes, prior->pool_bytes);
+  ASSERT_EQ(run->chunks.size(), prior->chunks.size());
+  for (std::size_t i = 0; i < run->chunks.size(); ++i) {
+    EXPECT_EQ(run->chunks[i].flops, prior->chunks[i].flops);
+    EXPECT_EQ(run->chunks[i].estimated_nnz, prior->chunks[i].estimated_nnz);
+  }
+  // The chunk grid is the one a fresh analysis of the plan's boundaries
+  // gives: executors no longer repeat that analysis.
+  const auto fresh =
+      AnalyzeChunks(a, prior->row_bounds, a, prior->col_bounds);
+  ASSERT_EQ(fresh.size(), prior->chunks.size());
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_EQ(fresh[i].flops, prior->chunks[i].flops);
+  }
+}
+
+TEST(PlanReuse, OverflowRetrySingleBufferAndSmallerDeviceReplan) {
+  const Csr a = testutil::RandomRmat(10, 8.0, 2);
+  const std::int64_t capacity = 1 << 20;
+  const auto prior = Shared(PlanPanels(a, a, capacity, PlanOptions{}));
+
+  PlanOptions retry;
+  retry.nnz_safety_factor *= 2;  // what RetryWithReplan does
+  PlanOptions sync;
+  sync.buffers = 1;  // what SyncOutOfCore does
+  struct Case {
+    const char* name;
+    PlanOptions options;
+    std::int64_t capacity;
+  };
+  for (const Case& c : {Case{"overflow retry", retry, capacity},
+                        Case{"single buffer", sync, capacity},
+                        Case{"smaller device", PlanOptions{}, capacity / 2}}) {
+    PlanOptions options = c.options;
+    options.prior = prior;
+    EXPECT_FALSE(PlanMadeFor(*prior, c.capacity, options)) << c.name;
+    const std::int64_t before = PlansMade();
+    auto plan = PlanPanels(a, a, c.capacity, options);
+    ASSERT_TRUE(plan.ok()) << c.name << ": " << plan.status().ToString();
+    EXPECT_EQ(PlansMade(), before + 1) << c.name;
+    EXPECT_EQ(plan->device_capacity, c.capacity) << c.name;
+    EXPECT_TRUE(plan->options == c.options) << c.name;
+    EXPECT_EQ(plan->options.prior, nullptr) << c.name;
+  }
+}
+
+TEST(PlanReuse, EstimateRetryReplansFromTheJobsOwnEstimate) {
+  const Csr a = testutil::RandomRmat(10, 8.0, 2);
+  const std::int64_t capacity = 1 << 20;
+  PlanOptions options;
+  options.use_sampling_estimator = true;
+  // Admission's estimate samples another row fraction than the planner
+  // would, so a plan made from a fresh estimate would tell.
+  estimate::EstimatorOptions admission;
+  admission.row_sample_fraction = 0.5;
+  auto own = std::make_shared<const estimate::ProductEstimate>(
+      estimate::EstimateProduct(a, a, admission));
+  const auto prior = Shared(PlanPanels(a, a, capacity, options, own));
+  EXPECT_EQ(prior->estimate, own);
+
+  options.nnz_safety_factor *= 2;
+  options.prior = prior;
+  const std::int64_t before = PlansMade();
+  auto retry = PlanPanels(a, a, capacity, options);
+  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+  EXPECT_EQ(PlansMade(), before + 1);
+  EXPECT_EQ(retry->estimate, own);
+}
 
 TEST(PlanPanels, BigDeviceNeedsOnePanel) {
   Csr a = testutil::RandomCsr(256, 256, 4.0, 1);

@@ -23,21 +23,20 @@ TEST(JobDemand, EstimatesTrackTheRealProduct) {
   EXPECT_GT(d.est_nnz_out, 0.5 * exact);
   EXPECT_LT(d.est_nnz_out, 2.0 * exact);
 
-  EXPECT_TRUE(d.gpu_feasible);
-  EXPECT_GE(d.planned_chunks, 1);
-  EXPECT_GT(d.planned_device_bytes, 0);
+  EXPECT_TRUE(d.gpu_feasible());
+  EXPECT_GE(d.planned_chunks(), 1);
+  EXPECT_GT(d.planned_device_bytes(), 0);
 }
 
 TEST(JobDemand, HopelessDeviceIsInfeasible) {
   sparse::Csr a = testutil::RandomRmat(8, 8.0, 7);
   core::ExecutorOptions exec;
   JobDemand d = EstimateJobDemand(a, a, /*device_capacity=*/1 << 10, exec);
-  EXPECT_FALSE(d.gpu_feasible);
+  EXPECT_FALSE(d.gpu_feasible());
 }
 
 TEST(Admission, GpuOnlyModeRejectedWhenInfeasible) {
-  JobDemand d;
-  d.gpu_feasible = false;
+  JobDemand d;  // no plan: no split fits
   AdmissionController ctrl(AdmissionLimits{});
   Status st = ctrl.Admit(d, core::ExecutionMode::kHybrid);
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
@@ -110,7 +109,8 @@ TEST(JobDemandSampled, LargeJobIsPricedByTheEstimator) {
       EstimateJobDemandSampled(a, a, /*device_capacity=*/4 << 20, exec, opts);
   EXPECT_TRUE(d.estimated);
   EXPECT_FALSE(d.estimator_fallback);
-  ASSERT_NE(d.estimate, nullptr);
+  ASSERT_NE(d.plan, nullptr);
+  ASSERT_NE(d.plan->estimate, nullptr);
   EXPECT_GT(d.est_rel_stderr, 0.0);
   EXPECT_GT(d.analysis_seconds, 0.0);
 
@@ -121,8 +121,8 @@ TEST(JobDemandSampled, LargeJobIsPricedByTheEstimator) {
   const double exact_flops = static_cast<double>(sparse::TotalFlops(a, a));
   EXPECT_GT(static_cast<double>(d.flops), 0.5 * exact_flops);
   EXPECT_LT(static_cast<double>(d.flops), 2.0 * exact_flops);
-  EXPECT_TRUE(d.gpu_feasible);
-  EXPECT_GE(d.planned_chunks, 1);
+  EXPECT_TRUE(d.gpu_feasible());
+  EXPECT_GE(d.planned_chunks(), 1);
 }
 
 TEST(JobDemandSampled, UnreliableSampleFallsBackToExact) {
@@ -135,7 +135,8 @@ TEST(JobDemandSampled, UnreliableSampleFallsBackToExact) {
   EXPECT_FALSE(d.estimated);
   EXPECT_TRUE(d.estimator_fallback);
   EXPECT_EQ(d.flops, sparse::TotalFlops(a, a));  // exact pricing
-  EXPECT_EQ(d.estimate, nullptr);
+  ASSERT_NE(d.plan, nullptr);
+  EXPECT_EQ(d.plan->estimate, nullptr);  // an exact plan
 }
 
 TEST(DeviceHeadroom, SnapshotTracksAllocations) {

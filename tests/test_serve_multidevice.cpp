@@ -134,8 +134,8 @@ TEST(ServeMultiDevice, ExplicitGpuJobsNeverExceedDeviceCapacity) {
   // working set really does exceed the tiny device.
   JobDemand demand = EstimateJobDemand(
       *a, *a, server.device_pool().max_device_capacity(), {});
-  ASSERT_TRUE(demand.gpu_feasible);
-  ASSERT_GT(demand.planned_device_bytes, fleet.devices[kTiny]->capacity());
+  ASSERT_TRUE(demand.gpu_feasible());
+  ASSERT_GT(demand.planned_device_bytes(), fleet.devices[kTiny]->capacity());
 
   std::vector<std::future<JobResult>> futures;
   for (int i = 0; i < 8; ++i) {

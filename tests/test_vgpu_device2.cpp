@@ -1,7 +1,10 @@
 // Second batch of virtual-device tests: cost-after-execution launches,
 // timeline reset semantics, event chains and trace accounting details.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "vgpu/device.hpp"
@@ -47,6 +50,38 @@ TEST(LaunchKernelCostedDeath, NegativeCostAborts) {
   EXPECT_DEATH(
       d.LaunchKernelCosted(host, *s, "bad", {}, [] { return -1.0; }),
       "OOC_CHECK");
+}
+
+// Device memory costs host memory only where it is written: constructing a
+// large device leaves its arena unbacked, yet every byte reads zero.
+TEST(Device, ArenaPagesAreBackedOnlyOnceWritten) {
+  DeviceProperties p;
+  p.memory_bytes = 64ll << 20;
+  Device d(p);
+  HostContext host;
+  auto whole = d.Malloc(host, p.memory_bytes);
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  std::byte* base = d.Raw(whole.value());
+  base[12345] = std::byte{7};
+
+  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  auto* first = reinterpret_cast<std::byte*>(
+      reinterpret_cast<std::uintptr_t>(base) & ~(page - 1));
+  const std::size_t length =
+      static_cast<std::size_t>(base + p.memory_bytes - first);
+  std::vector<unsigned char> resident((length + page - 1) / page);
+  ASSERT_EQ(mincore(first, length, resident.data()), 0);
+  std::size_t resident_pages = 0;
+  for (unsigned char r : resident) resident_pages += r & 1;
+  EXPECT_LT(resident_pages * page, std::size_t{8} << 20)
+      << resident_pages << " of " << resident.size() << " pages backed";
+
+  EXPECT_EQ(base[12345], std::byte{7});
+  for (std::int64_t offset : {std::int64_t{0}, std::int64_t{4096},
+                              p.memory_bytes / 2, p.memory_bytes - 1}) {
+    EXPECT_EQ(base[offset], std::byte{0}) << "offset " << offset;
+  }
+  d.Free(host, whole.value());
 }
 
 TEST(Device, EventChainAcrossThreeStreams) {

@@ -14,7 +14,12 @@
 // or choice list, a value on a presence flag, a repeated flag, a flag
 // without the one it needs (`--route` and `--replication` need `--shards`,
 // `--metrics-interval` needs `--metrics-out`, `--fault-seed` needs
-// `--fault-spec`) and a stray positional argument each print the usage and
+// `--fault-spec`) or without the value of another flag it needs, given or
+// by default (`--estimator-seed` and `--estimator-sample` need
+// `--admission=estimate`, `--calibrate-interval` a `--calibrate` other than
+// off, `multiply --ratio` `--executor=hybrid` and `--trace` a GPU executor,
+// `generate --half-bandwidth` `--kind=banded` and `--edge-factor` the
+// other kinds) and a stray positional argument each print the usage and
 // exit 2.
 //
 // `multiply` squares a.mtx when no second matrix is given (the paper's
@@ -113,7 +118,9 @@ struct Flag {
   const char* help;
   Range range = {};                       // kInt, kReal
   std::vector<std::string> choices = {};  // kChoice
-  const char* needs = nullptr;            // a flag that must come with it
+  // A flag that must come with it ("shards"), or the values another flag
+  // must take, given or by default ("kind=rmat|er").
+  const char* needs = nullptr;
 };
 
 class Args;
@@ -145,6 +152,11 @@ std::string Join(const std::vector<std::string>& choices) {
   std::string out;
   for (const std::string& c : choices) out += (out.empty() ? "" : "|") + c;
   return out;
+}
+
+// True when `value` is one of the |-separated `choices`.
+bool Lists(const std::string& choices, const std::string& value) {
+  return ("|" + choices + "|").find("|" + value + "|") != std::string::npos;
 }
 
 // Why `value` is no value of `flag`; empty when it is one.
@@ -212,8 +224,13 @@ class Args {
       return std::string("want ") + command.operands;
     }
     for (const Flag& f : command.flags) {
-      if (f.needs != nullptr && Has(f.name) && !Has(f.needs)) {
-        return std::string("--") + f.name + " needs --" + f.needs;
+      if (f.needs == nullptr || !Has(f.name)) continue;
+      const std::string needs = f.needs;
+      const std::size_t eq = needs.find('=');
+      const std::string other = needs.substr(0, eq);
+      if (eq == needs.npos ? !Has(other)
+                           : !Lists(needs.substr(eq + 1), Text(other))) {
+        return std::string("--") + f.name + " needs --" + needs;
       }
     }
     return "";
@@ -263,6 +280,7 @@ void PrintUsage(const Command& cmd) {
       help.append("; in ").append(f.range.ToString());
     }
     if (f.dflt != nullptr) help.append("; default ").append(f.dflt);
+    if (f.needs != nullptr) help.append("; needs --").append(f.needs);
     std::fprintf(stderr, "      %-36s %s\n", spec.c_str(), help.c_str());
   }
 }
@@ -379,7 +397,7 @@ int Multiply(const Args& args) {
     }
     std::printf("verify: OK\n");
   }
-  if (args.Has("trace") && executor != "cpu") {
+  if (args.Has("trace")) {
     Status st =
         vgpu::WriteChromeTrace(device.trace(), args.Text("trace"), device.id());
     if (!st.ok()) return Fail(st);
@@ -635,9 +653,10 @@ const std::vector<Command>& Commands() {
       {"kind", F::kChoice, "rmat", "matrix family", {},
        {"rmat", "er", "banded"}},
       {"scale", F::kInt, "12", "2^scale rows", {0, 30}},
-      {"edge-factor", F::kReal, "8", "nonzeros per row (rmat, er)", {0, 1024}},
-      {"half-bandwidth", F::kInt, "8", "band half-width (banded)",
-       {0, 1 << 30}},
+      {"edge-factor", F::kReal, "8", "nonzeros per row", {0, 1024}, {},
+       "kind=rmat|er"},
+      {"half-bandwidth", F::kInt, "8", "band half-width", {0, 1 << 30}, {},
+       "kind=banded"},
       {"seed", F::kSeed, "1", "generator seed"},
       {"out", F::kText, nullptr, "output file, required (.bin: binary)"},
   };
@@ -645,9 +664,11 @@ const std::vector<Command>& Commands() {
       {"executor", F::kChoice, "async", "executor", {},
        {"async", "sync", "hybrid", "cpu"}},
       {"device-mem", F::kReal, "16", "device memory in MiB", kDeviceMib},
-      {"ratio", F::kReal, "0.67", "hybrid GPU flop share", kGpuShare},
+      {"ratio", F::kReal, "0.67", "hybrid GPU flop share", kGpuShare, {},
+       "executor=hybrid"},
       {"out", F::kText, nullptr, "write C here (.bin: binary)"},
-      {"trace", F::kText, nullptr, "write the device's Chrome trace here"},
+      {"trace", F::kText, nullptr, "write the device's Chrome trace here", {},
+       {}, "executor=async|sync|hybrid"},
       {"verify", F::kPresence, nullptr, "check C against the reference"},
   };
   static const std::vector<Flag> serve_flags = {
@@ -677,9 +698,10 @@ const std::vector<Command>& Commands() {
       {"admission", F::kChoice, "exact", "how jobs are priced", {},
        Spellings(serve::AdmissionModeName,
                  {AdmissionMode::kExact, AdmissionMode::kEstimate})},
-      {"estimator-seed", F::kSeed, "1", "sampling estimator seed"},
+      {"estimator-seed", F::kSeed, "1", "sampling estimator seed", {}, {},
+       "admission=estimate"},
       {"estimator-sample", F::kReal, "0.05", "estimator row-sample fraction",
-       {0, 1, true}},
+       {0, 1, true}, {}, "admission=estimate"},
       {"kernel", F::kChoice, "auto", "accumulator strategy", {},
        Spellings(kernels::AccumulatorKindName,
                  {AccumulatorKind::kAuto, AccumulatorKind::kHash,
@@ -690,7 +712,7 @@ const std::vector<Command>& Commands() {
                  {CalibrateMode::kOff, CalibrateMode::kObserve,
                   CalibrateMode::kApply})},
       {"calibrate-interval", F::kReal, "0.05", "calibration tick, wall seconds",
-       {0, kSeconds.hi, true}},
+       {0, kSeconds.hi, true}, {}, "calibrate=observe|apply"},
       {"shards", F::kInt, nullptr, "serve through a fleet of shards", {2, 64}},
       {"replication", F::kInt, "1", "shards a hot operand spreads over", kCount,
        {}, "shards"},
