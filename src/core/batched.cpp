@@ -28,17 +28,23 @@ StatusOr<BatchedRunResult> BatchedOutOfCoreImpl(
 
   // One workspace sized for the largest member serves every segment: pool
   // pre-allocation happens once per batch, and the panel cache — holding
-  // the shared B column panels — survives across jobs.
-  std::int64_t pool_bytes = 0, max_a = 0, max_b = 0;
-  for (const PreparedProblem& p : preps) {
-    pool_bytes = std::max(pool_bytes, p.plan.pool_bytes);
-    max_a = std::max(max_a, p.plan.max_a_panel_bytes);
-    max_b = std::max(max_b, p.plan.max_b_panel_bytes);
+  // the shared B column panels — survives across jobs.  Each member's plan
+  // fits the budget alone; their maxima together may not.
+  std::vector<const partition::PanelPlan*> plans;
+  for (const PreparedProblem& p : preps) plans.push_back(&p.plan);
+  const partition::WorkspaceSizes sizes = partition::WorkspaceFor(plans);
+  const std::int64_t budget =
+      partition::PlanBudget(device.capacity(), options.plan);
+  if (sizes.bytes() > budget) {
+    return Status::ResourceExhausted(
+        "batch workspace of " + std::to_string(sizes.bytes()) +
+        " bytes exceeds the plan budget of " + std::to_string(budget));
   }
 
   device.ResetTimeline();
   vgpu::HostContext host;
-  GpuWorkspace workspace(device, host, pool_bytes, max_a, max_b);
+  GpuWorkspace workspace(device, host, sizes.pool, sizes.a_panel,
+                         sizes.b_panel);
   OOC_RETURN_IF_ERROR(workspace.init_status());
 
   // Segment orders: chunks of job i touching column panel j, flop-ordered
@@ -63,7 +69,8 @@ StatusOr<BatchedRunResult> BatchedOutOfCoreImpl(
   }
 
   ExecutorOptions seg_options = options;
-  seg_options.cancel = nullptr;  // batched cancel is segment-granular
+  // Members' deadlines are segment-granular.
+  seg_options.deadline = std::chrono::steady_clock::time_point::max();
 
   // Per-job accumulation across the job's (job x column panel) segments:
   // one lane whose makespan is when its latest segment drained.
@@ -72,8 +79,7 @@ StatusOr<BatchedRunResult> BatchedOutOfCoreImpl(
   for (int j = 0; j < nc; ++j) {
     for (std::size_t i = 0; i < n; ++i) {
       if (cancelled[i]) continue;
-      if (jobs[i].cancel != nullptr &&
-          jobs[i].cancel->load(std::memory_order_relaxed)) {
+      if (DeadlinePassed(jobs[i].deadline)) {
         cancelled[i] = true;
         continue;
       }
@@ -119,7 +125,7 @@ StatusOr<BatchedRunResult> BatchedOutOfCoreImpl(
     if (cancelled[i]) {
       out.jobs[i].status =
           Status::Cancelled("batched job " + std::to_string(i) +
-                            " cancelled between segments");
+                            " passed its deadline between segments");
       continue;
     }
     RunResult& rr = out.jobs[i].run;

@@ -18,15 +18,15 @@
 // instead of once per job — the setup amortization Liu & Vinter's framework
 // and OpSparse both identify as the multi-invocation win.
 //
-// Cancellation is honoured at segment (job x column panel) boundaries: a
-// cancelled job skips its remaining segments and reports kCancelled while
-// the rest of the batch proceeds.  A pool overflow or upload failure fails
-// the whole batch — the caller (the serve scheduler) falls back to running
-// the members individually, where the per-job retry-with-replan policy
-// applies.
+// Deadlines are honoured at segment (job x column panel) boundaries: a job
+// past its deadline skips its remaining segments and reports kCancelled
+// while the rest of the batch proceeds.  A workspace over the plan budget,
+// a pool overflow or an upload failure fails the whole batch — the caller
+// (the serve scheduler) falls back to running the members individually,
+// where the per-job retry-with-replan policy applies.
 #pragma once
 
-#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -43,14 +43,16 @@ namespace oocgemm::core {
 /// One member of a shared-operand batch.
 struct BatchJobSpec {
   const sparse::Csr* a = nullptr;
-  /// Optional per-job cooperative cancel, polled between segments only (a
-  /// batched job's timeout granularity is one job x column-panel segment).
-  const std::atomic<bool>* cancel = nullptr;
+  /// Per-job wall-clock deadline (max() = none), checked between segments
+  /// only: a batched job's timeout granularity is one job x column-panel
+  /// segment.
+  std::chrono::steady_clock::time_point deadline =
+      std::chrono::steady_clock::time_point::max();
   /// Optional plan already made for this member (the serve scheduler hands
   /// over admission's).  It runs when it was made for the device and the
   /// batch's plan options (partition::PlanMadeFor); otherwise the member is
   /// planned again, from this plan's estimate in estimate mode.
-  std::shared_ptr<const partition::PanelPlan> plan;
+  std::shared_ptr<const partition::PanelPlan> plan = nullptr;
 };
 
 /// Per-member outcome; `run` is valid iff `status.ok()`.
@@ -73,8 +75,10 @@ struct BatchedRunResult {
 
 /// Runs the batch on the asynchronous out-of-core pipeline.  Resets the
 /// device timeline; `batch_makespan` is the batch's total device occupancy.
-/// Fails as a whole on any device-side error (see header comment); per-job
-/// cancellation is reported in the member's status instead.
+/// Fails as a whole with kResourceExhausted when the members' shared
+/// workspace (partition::WorkspaceFor) exceeds the plan budget, and on any
+/// device-side error (see header comment); a member past its deadline is
+/// reported in the member's status instead.
 StatusOr<BatchedRunResult> BatchedOutOfCore(vgpu::Device& device,
                                             const std::vector<BatchJobSpec>& jobs,
                                             const sparse::Csr& b,

@@ -49,8 +49,7 @@ CpuRunOutput RunCpuChunks(const PreparedProblem& prep,
       "predictions on estimate-seeded plans");
 
   for (int id : order) {
-    if (options.cancel != nullptr &&
-        options.cancel->load(std::memory_order_relaxed)) {
+    if (DeadlinePassed(options.deadline)) {
       out.cancelled = true;
       return out;
     }

@@ -21,7 +21,7 @@ struct CpuRunOutput {
   int chunks_run = 0;
   std::int64_t flops = 0;
   std::int64_t nnz = 0;
-  /// Set when ExecutorOptions::cancel fired mid-run: the payload list is
+  /// Set when ExecutorOptions::deadline passed mid-run: the payload list is
   /// incomplete and the caller must not assemble a result from it.
   bool cancelled = false;
 };

@@ -2,7 +2,7 @@
 // choice that the evaluation ablates is a switch here.
 #pragma once
 
-#include <atomic>
+#include <chrono>
 
 #include "kernels/device_spgemm.hpp"
 #include "partition/panel_plan.hpp"
@@ -46,11 +46,12 @@ struct ExecutorOptions {
   /// S is ~2.05 (Fig. 7 bench), giving 67%.
   double gpu_ratio = 0.67;
 
-  /// Cooperative cancellation: when non-null, the executors poll this flag
-  /// at chunk boundaries and between OOM-retry attempts, returning
-  /// StatusCode::kCancelled once it is set.  The serving runtime's timeout
-  /// watchdog sets it to reclaim a worker from an over-deadline job.
-  const std::atomic<bool>* cancel = nullptr;
+  /// Wall-clock deadline; max() means none.  The executors compare it with
+  /// now() at chunk boundaries and before each OOM-retry attempt, returning
+  /// StatusCode::kCancelled once it has passed.  The serving runtime sets it
+  /// from a job's timeout to reclaim a worker from an over-deadline job.
+  std::chrono::steady_clock::time_point deadline =
+      std::chrono::steady_clock::time_point::max();
 
   /// Attempts on pool overflow, each after the first doubling
   /// nnz_safety_factor and re-planning (core::RetryWithReplan).  The serving
@@ -58,5 +59,11 @@ struct ExecutorOptions {
   /// executor call inside it makes one attempt.
   int max_oom_attempts = 4;
 };
+
+/// True once `deadline` has passed; never for the max() "no deadline".
+inline bool DeadlinePassed(std::chrono::steady_clock::time_point deadline) {
+  return deadline != std::chrono::steady_clock::time_point::max() &&
+         std::chrono::steady_clock::now() >= deadline;
+}
 
 }  // namespace oocgemm::core

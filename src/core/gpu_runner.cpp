@@ -74,7 +74,8 @@ GpuWorkspace::GpuWorkspace(vgpu::Device& device, vgpu::HostContext& host,
                            std::int64_t pool_bytes,
                            std::int64_t max_a_panel_bytes,
                            std::int64_t max_b_panel_bytes)
-    : streams{device.CreateStream("pipe0"), device.CreateStream("pipe1")},
+    : device(device),
+      streams{device.CreateStream("pipe0"), device.CreateStream("pipe1")},
       cache(device, host, max_a_panel_bytes, max_b_panel_bytes) {
   for (int s = 0; s < kMaxSlots; ++s) {
     pools[s] = std::make_unique<vgpu::MemoryPool>(device, host, pool_bytes,
@@ -86,10 +87,17 @@ GpuWorkspace::GpuWorkspace(vgpu::Device& device, vgpu::HostContext& host,
 GpuWorkspace::GpuWorkspace(vgpu::Device& device, vgpu::HostContext& host,
                            std::int64_t max_a_panel_bytes,
                            std::int64_t max_b_panel_bytes)
-    : slots(1),
+    : device(device),
+      slots(1),
       streams{device.CreateStream("sync"), nullptr},
       sources{std::make_unique<vgpu::MallocMemorySource>(device), nullptr},
       cache(device, host, max_a_panel_bytes, max_b_panel_bytes) {}
+
+GpuWorkspace::~GpuWorkspace() {
+  for (vgpu::Stream* stream : streams) {
+    if (stream != nullptr) device.DestroyStream(stream);
+  }
+}
 
 Status GpuWorkspace::init_status() const {
   if (!cache.init_status().ok()) return cache.init_status();
@@ -183,9 +191,8 @@ StatusOr<GpuRunOutput> RunGpuChunks(vgpu::Device& device,
       !blocking && options.transfer_schedule == TransferSchedule::kScheduled;
 
   for (std::size_t k = 0; k < order.size(); ++k) {
-    if (options.cancel != nullptr &&
-        options.cancel->load(std::memory_order_relaxed)) {
-      return fail(Status::Cancelled("gpu runner cancelled at chunk " +
+    if (DeadlinePassed(options.deadline)) {
+      return fail(Status::Cancelled("gpu runner passed its deadline at chunk " +
                                     std::to_string(k)));
     }
     const partition::ChunkDesc& desc =

@@ -56,6 +56,9 @@ struct GpuWorkspace {
   GpuWorkspace(vgpu::Device& device, vgpu::HostContext& host,
                std::int64_t max_a_panel_bytes, std::int64_t max_b_panel_bytes);
 
+  /// Releases the workspace's streams.
+  ~GpuWorkspace();
+
   GpuWorkspace(const GpuWorkspace&) = delete;
   GpuWorkspace& operator=(const GpuWorkspace&) = delete;
 
@@ -63,6 +66,7 @@ struct GpuWorkspace {
   /// panel cache at construction; RunGpuChunks checks before issuing work.
   Status init_status() const;
 
+  vgpu::Device& device;
   /// Streams in use: kMaxSlots when pipelined, 1 when blocking.
   int slots = kMaxSlots;
   vgpu::Stream* streams[kMaxSlots] = {};
@@ -89,7 +93,7 @@ struct GpuRunOutput {
 /// Runs chunks `order[0..count)` of `prep` on `device`.  `host` carries the
 /// issuing thread's virtual clock (starts at host.now).  Fails on pool OOM
 /// (triggering the executors' re-planning retry) or panel upload OOM.
-/// Polls options.cancel at chunk boundaries.
+/// Checks options.deadline at chunk boundaries.
 ///
 /// When `sink` is given, each chunk payload is handed to it as soon as its
 /// transfers drain (completion order) and `GpuRunOutput::payloads` stays

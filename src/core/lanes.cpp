@@ -165,7 +165,7 @@ StatusOr<LaneRun> RunLanes(const std::vector<vgpu::Device*>& devices,
   CpuRunOutput cpu;
   if (!cpu_order.empty()) cpu = RunCpuChunks(prep, cpu_order, options, pool);
   if (cpu.cancelled) {
-    return Status::Cancelled("CPU lane cancelled between chunks");
+    return Status::Cancelled("CPU lane passed its deadline between chunks");
   }
 
   run.stats = BuildRunStats(prep, run.lanes, &cpu,

@@ -57,8 +57,8 @@ struct MultiGpuResult {
 /// does the call fail, with the device's typed status.  Pool overflow
 /// re-plans within options.max_oom_attempts (core::RetryWithReplan); a
 /// prune re-deals within the current attempt, so it spends no attempt and
-/// keeps the attempt's nnz_safety_factor.  A cancel seen by any lane ends
-/// the call with kCancelled.
+/// keeps the attempt's nnz_safety_factor.  A deadline seen passed by any
+/// lane ends the call with kCancelled.
 StatusOr<MultiGpuResult> MultiGpuHybrid(
     const std::vector<vgpu::Device*>& devices, const sparse::Csr& a,
     const sparse::Csr& b, const ExecutorOptions& options, ThreadPool& pool);

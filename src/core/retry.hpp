@@ -8,7 +8,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <string>
 #include <utility>
 
@@ -21,10 +20,10 @@ namespace oocgemm::core {
 /// options.max_oom_attempts attempts (at least one) are spent; each retry
 /// doubles options.plan.nnz_safety_factor.  The budget is spent here, so
 /// `attempt` sees max_oom_attempts = 1 and an executor it calls makes a
-/// single attempt.  options.cancel is polled before every attempt: a call
-/// that starts cancelled, or a cancel that lands after an overflow, ends
-/// with kCancelled instead of another attempt.  `attempts`, when given, is
-/// incremented per attempt run.
+/// single attempt.  options.deadline is checked before every attempt: a
+/// call that starts past it, or a deadline that passes after an overflow,
+/// ends with kCancelled instead of another attempt.  `attempts`, when given,
+/// is incremented per attempt run.
 template <typename Fn>
 auto RetryWithReplan(ExecutorOptions options, Fn&& attempt,
                      int* attempts = nullptr)
@@ -32,9 +31,8 @@ auto RetryWithReplan(ExecutorOptions options, Fn&& attempt,
   const int max_attempts = std::max(1, options.max_oom_attempts);
   options.max_oom_attempts = 1;
   for (int i = 1;; ++i) {
-    if (options.cancel != nullptr &&
-        options.cancel->load(std::memory_order_relaxed)) {
-      return Status::Cancelled("cancelled before pool-overflow attempt " +
+    if (DeadlinePassed(options.deadline)) {
+      return Status::Cancelled("deadline passed before pool-overflow attempt " +
                                std::to_string(i));
     }
     if (attempts != nullptr) ++*attempts;

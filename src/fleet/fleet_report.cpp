@@ -50,7 +50,7 @@ bool FleetReport::Reconciles() const {
       totals.transfer_bytes_h2d == s.transfer_bytes_h2d &&
       totals.transfer_bytes_d2h == s.transfer_bytes_d2h;
   // Every shard-side submission is either a routed job's first placement or
-  // a courier resubmission; every routed job resolves exactly one future.
+  // a failover resubmission; every routed job resolves exactly one future.
   const bool flow_matches =
       totals.submitted ==
           routing.routed_jobs + routing.failover_resubmissions &&

@@ -27,7 +27,7 @@ struct FleetRoutingStats {
   /// First-choice shard skipped at submit time because its probe showed a
   /// dead pool or a saturated queue.
   std::int64_t probe_skips = 0;
-  /// Courier re-submissions to a ring successor after a shard-side
+  /// Re-submissions to a ring successor after a shard-side
   /// failure/rejection.  One job can contribute several hops.
   std::int64_t failover_resubmissions = 0;
   /// Jobs that failed on their first shard but completed on a successor.
@@ -89,7 +89,7 @@ struct FleetReport {
 
   /// True when `totals` equals Sum(shard_reports) field-for-field and the
   /// shard-side submission count accounts for every routed job plus every
-  /// courier resubmission.  The smoke test's hard gate.
+  /// failover resubmission.  The smoke test's hard gate.
   bool Reconciles() const;
 
   std::string ToJson() const;

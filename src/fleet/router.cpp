@@ -11,10 +11,6 @@ constexpr std::uint64_t kRandomSeed = 0x5eedull;
 /// A shard whose queue depth is at or past this fraction of capacity is
 /// skipped at routing time (the job goes to the next ring successor).
 constexpr double kQueuePressureLimit = 0.95;
-/// Threads delivering shard results to caller futures and re-routing
-/// failures.  Dedicated threads, not the shared ThreadPool: couriers block
-/// on futures, and the pool's workers run executor stages.
-constexpr int kCourierThreads = 2;
 
 const char* RoutingPolicyName(RoutingPolicy policy) {
   switch (policy) {
@@ -60,7 +56,7 @@ FleetRouter::FleetRouter(std::vector<std::vector<vgpu::Device*>> shard_devices,
       "First-choice shards skipped at submit (dead pool / full queue)");
   metrics_.resubmissions = &reg.GetCounter(
       "oocgemm_fleet_failover_resubmissions", {},
-      "Courier re-submissions to a ring successor after a shard failure");
+      "Re-submissions to a ring successor after a shard failure");
   metrics_.rerouted_completed = &reg.GetCounter(
       "oocgemm_fleet_rerouted_completed", {},
       "Jobs that failed on their first shard but completed on a successor");
@@ -70,11 +66,6 @@ FleetRouter::FleetRouter(std::vector<std::vector<vgpu::Device*>> shard_devices,
   metrics_.shards = &reg.GetGauge("oocgemm_fleet_shards", {},
                                   "Shards behind the fleet router");
   metrics_.shards->Set(static_cast<std::int64_t>(shards_.size()));
-
-  couriers_.reserve(kCourierThreads);
-  for (int c = 0; c < kCourierThreads; ++c) {
-    couriers_.emplace_back([this] { CourierLoop(); });
-  }
 }
 
 FleetRouter::~FleetRouter() { Shutdown(); }
@@ -162,22 +153,34 @@ std::future<serve::JobResult> FleetRouter::Submit(serve::SpgemmJob job) {
   }
 
   auto ticket = std::make_shared<Ticket>();
-  ticket->job = job;
-  ticket->tried.push_back(target);
+  ticket->job = std::move(job);
+  ticket->key = key;
   std::future<serve::JobResult> caller_future = ticket->promise.get_future();
-  EnqueueInflight(ticket,
-                  shards_[static_cast<std::size_t>(target)]->Submit(
-                      std::move(job)));
+  Place(std::move(ticket), target);
   return caller_future;
 }
 
-void FleetRouter::EnqueueInflight(std::shared_ptr<Ticket> ticket,
-                                  std::future<serve::JobResult> future) {
-  {
-    std::unique_lock<std::mutex> lock(courier_mutex_);
-    courier_queue_.push_back(Inflight{std::move(ticket), std::move(future)});
-  }
-  courier_cv_.notify_one();
+void FleetRouter::Place(std::shared_ptr<Ticket> ticket, int shard) {
+  // Recorded before the submit: a rejection calls back on this thread.
+  ticket->tried.push_back(shard);
+  serve::SpgemmJob job = ticket->job;
+  shards_[static_cast<std::size_t>(shard)]->Submit(
+      std::move(job), [this, ticket](serve::JobResult result) {
+        if (RetryableOnAnotherShard(result) &&
+            static_cast<int>(ticket->tried.size()) < shard_count()) {
+          const int next = NextUntriedShard(ticket->key, ticket->tried);
+          if (next >= 0) {
+            {
+              std::unique_lock<std::mutex> lock(mutex_);
+              ++routing_.failover_resubmissions;
+              metrics_.resubmissions->Add(1);
+            }
+            Place(ticket, next);
+            return;
+          }
+        }
+        Deliver(*ticket, std::move(result));
+      });
 }
 
 bool FleetRouter::RetryableOnAnotherShard(const serve::JobResult& result) {
@@ -199,47 +202,6 @@ bool FleetRouter::RetryableOnAnotherShard(const serve::JobResult& result) {
       return true;
     default:
       return false;
-  }
-}
-
-void FleetRouter::CourierLoop() {
-  for (;;) {
-    Inflight inflight;
-    {
-      std::unique_lock<std::mutex> lock(courier_mutex_);
-      courier_cv_.wait(lock, [this] {
-        return courier_closed_ || !courier_queue_.empty();
-      });
-      if (courier_queue_.empty()) return;  // closed and drained
-      inflight = std::move(courier_queue_.front());
-      courier_queue_.pop_front();
-    }
-
-    // Blocks until the owning shard resolves the job.  Shards make
-    // progress independently of the couriers, so this cannot deadlock.
-    serve::JobResult result = inflight.future.get();
-    Ticket& ticket = *inflight.ticket;
-
-    if (RetryableOnAnotherShard(result) &&
-        static_cast<int>(ticket.tried.size()) < shard_count()) {
-      const std::uint64_t key =
-          ticket.job.b ? OperandPlacementKey(*ticket.job.b) : 0;
-      const int next = NextUntriedShard(key, ticket.tried);
-      if (next >= 0) {
-        {
-          std::unique_lock<std::mutex> lock(mutex_);
-          ++routing_.failover_resubmissions;
-          metrics_.resubmissions->Add(1);
-        }
-        ticket.tried.push_back(next);
-        serve::SpgemmJob job = ticket.job;
-        EnqueueInflight(inflight.ticket,
-                        shards_[static_cast<std::size_t>(next)]->Submit(
-                            std::move(job)));
-        continue;
-      }
-    }
-    Deliver(ticket, std::move(result));
   }
 }
 
@@ -280,22 +242,9 @@ void FleetRouter::Drain() {
 void FleetRouter::Shutdown() {
   {
     std::unique_lock<std::mutex> lock(pending_mutex_);
-    if (shut_down_) {
-      // Idempotent re-entry still waits for any straggling deliveries.
-      pending_cv_.wait(lock, [this] { return pending_ == 0; });
-      return;
-    }
     shut_down_ = true;
   }
-  Drain();  // couriers are idle once every caller future resolved
-  {
-    std::unique_lock<std::mutex> lock(courier_mutex_);
-    courier_closed_ = true;
-  }
-  courier_cv_.notify_all();
-  for (std::thread& t : couriers_) {
-    if (t.joinable()) t.join();
-  }
+  Drain();  // no shard holds a ticket once every caller future resolved
   for (auto& shard : shards_) shard->Shutdown();
 }
 

@@ -11,9 +11,11 @@
 // Failure handling reuses the shard-level health machinery: a shard whose
 // devices all died fails explicit-GPU jobs fast (DevicePool::Acquire
 // refuses when no healthy device fits), its probe turns un-routable, and
-// the router's courier threads re-submit the failed job to the next
-// untried ring successor, recording the hop.  Every Submit() returns a
-// future that resolves exactly once, with the final shard's result.
+// the completion callback the router hands each shard re-submits the
+// failed job to the next untried ring successor, recording the hop.  The
+// router starts no thread of its own: a job resolves on the shard thread
+// that finished it.  Every Submit() returns a future that resolves exactly
+// once, with the final shard's result.
 //
 //   fleet::FleetRouter router({{&d0, &d1}, {&d2, &d3}}, pool, config);
 //   auto fut = router.Submit({a, b, {.mode = kGpuOutOfCore}});
@@ -23,12 +25,10 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <random>
-#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -79,8 +79,8 @@ class FleetRouter {
   /// (including jobs still hopping between shards).
   void Drain();
 
-  /// Stops accepting, drains in-flight jobs, joins the couriers, shuts
-  /// every shard down.  Idempotent; also run by the destructor.
+  /// Stops accepting, drains in-flight jobs, shuts every shard down.
+  /// Idempotent; also run by the destructor.
   void Shutdown();
 
   FleetReport Report() const;
@@ -98,15 +98,12 @@ class FleetRouter {
 
  private:
   /// One routed job: the caller's promise plus enough state to resubmit.
+  /// One shard holds it at a time.
   struct Ticket {
     serve::SpgemmJob job;  // operands are shared_ptrs — resubmission is cheap
+    std::uint64_t key = 0;  // B's placement key
     std::promise<serve::JobResult> promise;
     std::vector<int> tried;  // shards this job was placed on, in order
-  };
-  /// A ticket currently owned by some shard, awaiting its future.
-  struct Inflight {
-    std::shared_ptr<Ticket> ticket;
-    std::future<serve::JobResult> future;
   };
 
   /// Places the job per policy/tracker and updates routing counters.
@@ -117,9 +114,9 @@ class FleetRouter {
   /// (its rejection keeps the hop accounting honest).
   int NextUntriedShard(std::uint64_t key, const std::vector<int>& tried) const;
 
-  void EnqueueInflight(std::shared_ptr<Ticket> ticket,
-                       std::future<serve::JobResult> future);
-  void CourierLoop();
+  /// Submits the ticket to `shard`, whose completion callback either
+  /// re-places it on the next untried ring successor or delivers it.
+  void Place(std::shared_ptr<Ticket> ticket, int shard);
   /// Terminal delivery: fulfils the caller promise, updates delivered
   /// counters, releases the drain latch.
   void Deliver(Ticket& ticket, serve::JobResult result);
@@ -139,12 +136,6 @@ class FleetRouter {
   std::int64_t delivered_rejected_ = 0;
   std::int64_t delivered_timed_out_ = 0;
   std::int64_t delivered_failed_ = 0;
-
-  std::mutex courier_mutex_;
-  std::condition_variable courier_cv_;
-  std::deque<Inflight> courier_queue_;
-  bool courier_closed_ = false;
-  std::vector<std::thread> couriers_;
 
   mutable std::mutex pending_mutex_;
   std::condition_variable pending_cv_;

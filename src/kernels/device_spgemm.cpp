@@ -295,31 +295,33 @@ void ReleaseChunk(vgpu::HostContext& host, vgpu::DeviceMemorySource& source,
   chunk.d_scratch_row_flops = chunk.d_scratch_row_nnz = vgpu::DevicePtr{};
 }
 
-StatusOr<Csr> MultiplyInCore(vgpu::Device& device, const Csr& a, const Csr& b,
-                             DeviceSpgemmOptions options) {
+namespace {
+
+StatusOr<Csr> MultiplyInCoreOn(vgpu::Device& device, vgpu::Stream& stream,
+                               const Csr& a, const Csr& b,
+                               const DeviceSpgemmOptions& options) {
   vgpu::HostContext host;
-  vgpu::Stream* stream = device.CreateStream("incore");
   vgpu::MallocMemorySource source(device);
 
-  auto da = UploadCsr(device, host, *stream, source, a, "A");
+  auto da = UploadCsr(device, host, stream, source, a, "A");
   if (!da.ok()) return da.status();
-  auto db = UploadCsr(device, host, *stream, source, b, "B");
+  auto db = UploadCsr(device, host, stream, source, b, "B");
   if (!db.ok()) return db.status();
 
   DeviceSpgemm engine(device, options);
   auto chunk =
-      engine.Multiply(host, *stream, da.value(), db.value(), source, "C");
+      engine.Multiply(host, stream, da.value(), db.value(), source, "C");
   if (!chunk.ok()) return chunk.status();
 
   std::vector<index_t> cols(static_cast<std::size_t>(chunk->nnz));
   std::vector<value_t> vals(static_cast<std::size_t>(chunk->nnz));
-  device.MemcpyD2HAsync(host, *stream, cols.data(), chunk->d_col_ids,
+  device.MemcpyD2HAsync(host, stream, cols.data(), chunk->d_col_ids,
                         chunk->nnz * static_cast<std::int64_t>(sizeof(index_t)),
                         "C.col_ids");
-  device.MemcpyD2HAsync(host, *stream, vals.data(), chunk->d_values,
+  device.MemcpyD2HAsync(host, stream, vals.data(), chunk->d_values,
                         chunk->nnz * static_cast<std::int64_t>(sizeof(value_t)),
                         "C.values");
-  device.StreamSynchronize(host, *stream);
+  device.StreamSynchronize(host, stream);
   if (Status health = device.health(); !health.ok()) {
     ReleaseChunk(host, source, chunk.value());
     ReleaseCsr(host, source, da.value());
@@ -333,6 +335,16 @@ StatusOr<Csr> MultiplyInCore(vgpu::Device& device, const Csr& a, const Csr& b,
   ReleaseChunk(host, source, chunk.value());
   ReleaseCsr(host, source, da.value());
   ReleaseCsr(host, source, db.value());
+  return result;
+}
+
+}  // namespace
+
+StatusOr<Csr> MultiplyInCore(vgpu::Device& device, const Csr& a, const Csr& b,
+                             DeviceSpgemmOptions options) {
+  vgpu::Stream* stream = device.CreateStream("incore");
+  StatusOr<Csr> result = MultiplyInCoreOn(device, *stream, a, b, options);
+  device.DestroyStream(stream);
   return result;
 }
 

@@ -100,6 +100,22 @@ std::string PanelPlan::DebugString() const {
 
 bool PlanOptions::operator==(const PlanOptions&) const = default;
 
+std::int64_t PlanBudget(std::int64_t device_capacity,
+                        const PlanOptions& options) {
+  return static_cast<std::int64_t>(static_cast<double>(device_capacity) *
+                                   options.capacity_fraction);
+}
+
+WorkspaceSizes WorkspaceFor(const std::vector<const PanelPlan*>& plans) {
+  WorkspaceSizes ws;
+  for (const PanelPlan* plan : plans) {
+    ws.pool = std::max(ws.pool, plan->pool_bytes);
+    ws.a_panel = std::max(ws.a_panel, plan->max_a_panel_bytes);
+    ws.b_panel = std::max(ws.b_panel, plan->max_b_panel_bytes);
+  }
+  return ws;
+}
+
 bool PlanMadeFor(const PanelPlan& plan, std::int64_t device_capacity,
                  const PlanOptions& options) {
   PlanOptions in_force = options;
@@ -127,8 +143,7 @@ StatusOr<PanelPlan> PlanPanels(
       "oocgemm_partition_plans", {},
       "Panel plans searched by PlanPanels; a reused plan is not counted");
   plans.Add(1);
-  const std::int64_t budget = static_cast<std::int64_t>(
-      static_cast<double>(device_capacity) * options.capacity_fraction);
+  const std::int64_t budget = PlanBudget(device_capacity, options);
 
   // Sampled-symbolic row-nnz prediction (full output width; independent of
   // the panel boundaries, so computed once for the whole search).  The same

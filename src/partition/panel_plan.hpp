@@ -89,6 +89,26 @@ struct PanelPlan {
   std::string DebugString() const;
 };
 
+/// Device bytes a plan may size buffers in: options.capacity_fraction of
+/// `device_capacity`.
+std::int64_t PlanBudget(std::int64_t device_capacity,
+                        const PlanOptions& options);
+
+/// The buffers of one asynchronous-pipeline workspace: two chunk pools of
+/// `pool` bytes and the panel cache's two slots each of `a_panel` and
+/// `b_panel` bytes.
+struct WorkspaceSizes {
+  std::int64_t pool = 0;
+  std::int64_t a_panel = 0;
+  std::int64_t b_panel = 0;
+
+  std::int64_t bytes() const { return 2 * pool + 2 * (a_panel + b_panel); }
+};
+
+/// The workspace that runs `plans` back to back: the largest pool and
+/// panels over them.  For one plan, what its own run pre-allocates.
+WorkspaceSizes WorkspaceFor(const std::vector<const PanelPlan*>& plans);
+
 /// The reuse rule: `plan` was made for `device_capacity` and `options`,
 /// options.prior aside.
 bool PlanMadeFor(const PanelPlan& plan, std::int64_t device_capacity,

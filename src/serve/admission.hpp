@@ -83,9 +83,7 @@ struct JobDemand {
   /// Device bytes the asynchronous pipeline will pre-allocate under the
   /// plan: double-buffered chunk pools plus the panel-cache slots.
   std::int64_t planned_device_bytes() const {
-    return plan ? 2 * plan->pool_bytes + 2 * (plan->max_a_panel_bytes +
-                                              plan->max_b_panel_bytes)
-                : 0;
+    return plan ? partition::WorkspaceFor({plan.get()}).bytes() : 0;
   }
 
   /// True when the demand was priced by the sampling estimator.

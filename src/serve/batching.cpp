@@ -1,7 +1,5 @@
 #include "serve/batching.hpp"
 
-#include <algorithm>
-
 namespace oocgemm::serve {
 
 OperandFingerprint FingerprintOperand(const sparse::Csr& m) {
@@ -39,11 +37,9 @@ std::vector<std::unique_ptr<ScheduledJob>> PeelBatchCompanions(
 
 std::int64_t BatchPlannedDeviceBytes(
     const std::vector<std::unique_ptr<ScheduledJob>>& batch) {
-  std::int64_t bytes = 0;
-  for (const auto& item : batch) {
-    bytes = std::max(bytes, item->demand.planned_device_bytes());
-  }
-  return bytes;
+  std::vector<const partition::PanelPlan*> plans;
+  for (const auto& item : batch) plans.push_back(item->demand.plan.get());
+  return partition::WorkspaceFor(plans).bytes();
 }
 
 }  // namespace oocgemm::serve

@@ -56,8 +56,9 @@ std::vector<std::unique_ptr<ScheduledJob>> PeelBatchCompanions(
     const ScheduledJob& leader, JobQueue& queue, std::size_t max_companions);
 
 /// Device capacity a batch needs: the members run sequentially on one
-/// shared workspace sized for the largest plan, so the batch's demand is
-/// the max — not the sum — of the members'.
+/// shared workspace (partition::WorkspaceFor) of the largest pool and
+/// panels over their plans — not the sum of the members' demands, and not
+/// the largest one either.
 std::int64_t BatchPlannedDeviceBytes(
     const std::vector<std::unique_ptr<ScheduledJob>>& batch);
 

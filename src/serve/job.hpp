@@ -1,7 +1,7 @@
 // The unit of work of the serving runtime: one SpGEMM request plus the
 // quality-of-service knobs a multi-tenant deployment needs (priority,
 // deadline, executor preference), and the per-job report the runtime hands
-// back through the job's future.
+// back through the job's completion callback or future.
 #pragma once
 
 #include <cstdint>
@@ -25,9 +25,10 @@ struct JobOptions {
   /// hostile id cannot malform a report.  Empty = unattributed.
   std::string tenant;
 
-  /// Wall-clock execution budget in seconds; 0 disables the timeout.  The
-  /// scheduler's watchdog cancels the job cooperatively once exceeded
-  /// (whether still queued or mid-execution).
+  /// Wall-clock budget in seconds from submission; 0 disables the timeout.
+  /// The server turns it into the job's deadline: a job still queued past
+  /// it never runs, and a running one stops at its next chunk boundary
+  /// (ExecutorOptions::deadline, which the server sets from this).
   double timeout_seconds = 0.0;
 
   /// Executor preference.  kAuto lets the scheduler route by estimated
@@ -58,7 +59,7 @@ struct SpgemmJob {
 enum class JobOutcome {
   kCompleted,  // result matches contract; `c` is valid
   kRejected,   // admission refused it (queue full / infeasible / overload)
-  kTimedOut,   // cancelled by the watchdog past timeout_seconds
+  kTimedOut,   // its deadline (submission + timeout_seconds) passed
   kFailed,     // executor error after all retries
 };
 

@@ -7,7 +7,6 @@
 // unbounded memory growth.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -15,6 +14,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -35,39 +35,16 @@ class BoundedJobQueue {
     UpdateGauge();
   }
 
-  /// Non-blocking; false when the queue is at capacity or closed.
-  bool TryPush(int priority, T item) {
+  /// Non-blocking; false when the queue is at capacity or closed, and then
+  /// `item` is not moved from.
+  template <typename U>
+  bool TryPush(int priority, U&& item) {
     {
       std::unique_lock<std::mutex> lock(mutex_);
       if (closed_ || items_.size() >= capacity_) return false;
-      items_.emplace(Key{-priority, next_seq_++}, std::move(item));
+      items_.emplace(Key{-priority, next_seq_++}, std::forward<U>(item));
       UpdateGauge();
     }
-    cv_.notify_one();
-    return true;
-  }
-
-  /// Blocking push: waits up to `timeout_seconds` for space (forever when
-  /// <= 0).  False when the queue closed or the timeout elapsed while
-  /// still full.  Space appears whenever Pop *or* ExtractIf removes items
-  /// — both notify space_cv_; a batch former that peels companions without
-  /// waking producers would strand submitters on a saturated queue.
-  bool Push(int priority, T item, double timeout_seconds = 0.0) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    auto have_space = [this] { return closed_ || items_.size() < capacity_; };
-    if (timeout_seconds > 0.0) {
-      if (!space_cv_.wait_for(lock,
-                              std::chrono::duration<double>(timeout_seconds),
-                              have_space)) {
-        return false;
-      }
-    } else {
-      space_cv_.wait(lock, have_space);
-    }
-    if (closed_) return false;
-    items_.emplace(Key{-priority, next_seq_++}, std::move(item));
-    UpdateGauge();
-    lock.unlock();
     cv_.notify_one();
     return true;
   }
@@ -82,8 +59,6 @@ class BoundedJobQueue {
     T item = std::move(it->second);
     items_.erase(it);
     UpdateGauge();
-    lock.unlock();
-    space_cv_.notify_one();
     return item;
   }
 
@@ -94,35 +69,27 @@ class BoundedJobQueue {
   template <typename Pred>
   std::vector<T> ExtractIf(Pred pred, std::size_t max_items) {
     std::vector<T> out;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      for (auto it = items_.begin();
-           it != items_.end() && out.size() < max_items;) {
-        if (pred(it->second)) {
-          out.push_back(std::move(it->second));
-          it = items_.erase(it);
-        } else {
-          ++it;
-        }
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (auto it = items_.begin();
+         it != items_.end() && out.size() < max_items;) {
+      if (pred(it->second)) {
+        out.push_back(std::move(it->second));
+        it = items_.erase(it);
+      } else {
+        ++it;
       }
-      UpdateGauge();
     }
-    // Each removal frees a slot a blocked producer may be waiting on; not
-    // notifying here was a missed-wakeup bug under a saturated queue (the
-    // batch former peels companions between a producer's wait and any Pop).
-    for (std::size_t i = 0; i < out.size(); ++i) space_cv_.notify_one();
+    UpdateGauge();
     return out;
   }
 
-  /// Wakes all poppers and blocked pushers; queued items may still be
-  /// popped, new pushes fail.
+  /// Wakes all poppers; queued items may still be popped, new pushes fail.
   void Close() {
     {
       std::unique_lock<std::mutex> lock(mutex_);
       closed_ = true;
     }
     cv_.notify_all();
-    space_cv_.notify_all();
   }
 
   std::size_t size() const {
@@ -149,8 +116,7 @@ class BoundedJobQueue {
 
   const std::size_t capacity_;
   mutable std::mutex mutex_;
-  std::condition_variable cv_;        // consumers: items available / closed
-  std::condition_variable space_cv_;  // producers: capacity available / closed
+  std::condition_variable cv_;  // consumers: items available / closed
   std::map<Key, T> items_;
   std::uint64_t next_seq_ = 0;
   bool closed_ = false;

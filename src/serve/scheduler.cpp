@@ -16,24 +16,11 @@ namespace {
 /// Plans with at most this many chunks count as small: a small kAuto job
 /// takes a device only if one is free at dispatch, else runs on the CPU.
 constexpr int kSmallJobChunks = 1;
-/// How often the watchdog checks running jobs' deadlines.
-constexpr std::chrono::microseconds kWatchdogPeriod{500};
 
 bool NeedsDevice(core::ExecutionMode mode) {
   return mode == core::ExecutionMode::kGpuOutOfCore ||
          mode == core::ExecutionMode::kGpuSynchronous ||
          mode == core::ExecutionMode::kHybrid;
-}
-
-double ElapsedSeconds(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       since)
-      .count();
-}
-
-std::chrono::steady_clock::duration ToSteadyDuration(double seconds) {
-  return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-      std::chrono::duration<double>(seconds));
 }
 
 }  // namespace
@@ -60,12 +47,10 @@ Scheduler::~Scheduler() { Stop(); }
 
 void Scheduler::Start() {
   if (!workers_.empty()) return;
-  stopping_.store(false);
   workers_.reserve(static_cast<std::size_t>(config_.num_workers));
   for (int i = 0; i < config_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
-  watchdog_ = std::thread([this] { WatchdogLoop(); });
 }
 
 void Scheduler::Stop() {
@@ -73,8 +58,6 @@ void Scheduler::Stop() {
   queue_.Close();
   for (auto& w : workers_) w.join();
   workers_.clear();
-  stopping_.store(true);
-  if (watchdog_.joinable()) watchdog_.join();
 }
 
 double Scheduler::VirtualNow() const {
@@ -102,25 +85,9 @@ void Scheduler::WorkerLoop() {
     }
     if (batch.size() == 1) {
       RunJob(*batch.front());
-      if (on_job_done_) on_job_done_();
     } else {
       RunBatch(batch);
     }
-  }
-}
-
-void Scheduler::WatchdogLoop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    {
-      std::unique_lock<std::mutex> lock(watch_mutex_);
-      const auto now = std::chrono::steady_clock::now();
-      for (auto& [id, w] : watched_) {
-        if (now >= w.deadline) {
-          w.cancel->store(true, std::memory_order_relaxed);
-        }
-      }
-    }
-    std::this_thread::sleep_for(kWatchdogPeriod);
   }
 }
 
@@ -177,16 +144,11 @@ void Scheduler::FinishJob(ScheduledJob& item, JobResult result) {
   admission_.Release(item.demand);
   result.metrics.tenant = item.job.options.tenant;
   stats_.RecordOutcome(result.metrics);
-  item.promise.set_value(std::move(result));
+  item.done(std::move(result));
 }
 
 bool Scheduler::FinishIfExpiredInQueue(ScheduledJob& item) {
-  const double timeout = item.job.options.timeout_seconds;
-  if (timeout <= 0.0) return false;
-  if (ElapsedSeconds(item.submit_wall) < timeout &&
-      !item.cancel->load(std::memory_order_relaxed)) {
-    return false;
-  }
+  if (!core::DeadlinePassed(item.deadline)) return false;
   JobResult result;
   JobMetrics& m = result.metrics;
   m.id = item.id;
@@ -195,25 +157,11 @@ bool Scheduler::FinishIfExpiredInQueue(ScheduledJob& item) {
   // No executor ever saw this job: leave `executor` meaningless and say so
   // explicitly, so stats can separate queue expiries from mid-run timeouts.
   m.executed = false;
-  result.status =
-      Status::Cancelled("timed out after " + std::to_string(timeout) +
-                        "s while queued");
+  result.status = Status::Cancelled(
+      "timed out after " + std::to_string(item.job.options.timeout_seconds) +
+      "s while queued");
   FinishJob(item, std::move(result));
   return true;
-}
-
-void Scheduler::WatchJob(const ScheduledJob& item) {
-  const double timeout = item.job.options.timeout_seconds;
-  if (timeout <= 0.0) return;
-  std::unique_lock<std::mutex> lock(watch_mutex_);
-  watched_[item.id] =
-      Watched{item.cancel, item.submit_wall + ToSteadyDuration(timeout)};
-}
-
-void Scheduler::UnwatchJob(const ScheduledJob& item) {
-  if (item.job.options.timeout_seconds <= 0.0) return;
-  std::unique_lock<std::mutex> lock(watch_mutex_);
-  watched_.erase(item.id);
 }
 
 void Scheduler::RunJob(ScheduledJob& item) {
@@ -236,7 +184,7 @@ void Scheduler::RunJob(ScheduledJob& item) {
   // Execute with scheduler-owned retry-with-replan on the job's own budget
   // (exec.max_oom_attempts); each executor call inside makes one attempt.
   core::ExecutorOptions exec = opts.exec;
-  exec.cancel = item.cancel.get();
+  exec.deadline = item.deadline;
   // Admission's plan is the job's plan: it runs on any device of the size
   // it was made for, and an overflow retry or a synchronous run plans again.
   exec.plan.prior = item.demand.plan;
@@ -328,8 +276,6 @@ void Scheduler::RunJob(ScheduledJob& item) {
       }
     }
 
-    WatchJob(item);
-
     run = core::RetryWithReplan(
         exec,
         [&](const core::ExecutorOptions& o) {
@@ -356,10 +302,10 @@ void Scheduler::RunJob(ScheduledJob& item) {
 
     for (auto& extra : span) extra.Release();
     slot.Release();
-    UnwatchJob(item);
 
-    const bool cancelled = item.cancel->load(std::memory_order_relaxed);
-    if (!run.ok() && device_fault && !cancelled && round + 1 < max_rounds) {
+    // A run past its deadline is over, device fault or not.
+    const bool expired = core::DeadlinePassed(item.deadline);
+    if (!run.ok() && device_fault && !expired && round + 1 < max_rounds) {
       ++m.failovers;
       continue;
     }
@@ -392,31 +338,23 @@ void Scheduler::RunJob(ScheduledJob& item) {
 }
 
 void Scheduler::RunBatch(std::vector<std::unique_ptr<ScheduledJob>>& batch) {
-  // Sweep members whose timeout fired while queued before paying for the
-  // device; a member that expires later is cancelled cooperatively at a
-  // segment boundary inside the batched executor.
+  // Sweep members whose deadline passed while queued before paying for the
+  // device; a member whose deadline passes later stops at a segment
+  // boundary inside the batched executor.
   std::vector<std::unique_ptr<ScheduledJob>> live;
   live.reserve(batch.size());
   for (auto& item : batch) {
-    if (FinishIfExpiredInQueue(*item)) {
-      if (on_job_done_) on_job_done_();
-    } else {
-      live.push_back(std::move(item));
-    }
+    if (!FinishIfExpiredInQueue(*item)) live.push_back(std::move(item));
   }
   if (live.empty()) return;
   if (live.size() == 1) {
     RunJob(*live.front());
-    if (on_job_done_) on_job_done_();
     return;
   }
 
   auto fall_back = [&] {
     stats_.RecordBatchFallback();
-    for (auto& item : live) {
-      RunJob(*item);
-      if (on_job_done_) on_job_done_();
-    }
+    for (auto& item : live) RunJob(*item);
   };
 
   // The batch pins to exactly one device: its persistent GpuWorkspace and
@@ -432,14 +370,13 @@ void Scheduler::RunBatch(std::vector<std::unique_ptr<ScheduledJob>>& batch) {
     fall_back();
     return;
   }
-  for (auto& item : live) WatchJob(*item);
 
-  // The leader's executor config drives the batch; per-member cancels and
+  // The leader's executor config drives the batch; per-member deadlines and
   // admission plans go through the specs.  Pool overflow replans the whole
   // batch with the same policy as the per-job path, on the leader's budget.
   const ScheduledJob& leader = *live.front();
   core::ExecutorOptions exec = leader.job.options.exec;
-  exec.cancel = nullptr;
+  exec.deadline = std::chrono::steady_clock::time_point::max();
   if (config_.kernel != kernels::AccumulatorKind::kAuto) {
     exec.spgemm.accumulator = config_.kernel;
   }
@@ -454,7 +391,7 @@ void Scheduler::RunBatch(std::vector<std::unique_ptr<ScheduledJob>>& batch) {
   for (auto& item : live) {
     core::BatchJobSpec spec;
     spec.a = item->job.a.get();
-    spec.cancel = item->cancel.get();
+    spec.deadline = item->deadline;
     spec.plan = item->demand.plan;
     specs.push_back(spec);
   }
@@ -471,7 +408,6 @@ void Scheduler::RunBatch(std::vector<std::unique_ptr<ScheduledJob>>& batch) {
   const double wall_seconds = wall.Seconds();
 
   const int batch_device = slot.index();
-  for (auto& item : live) UnwatchJob(*item);
 
   // Inspect the batch device before releasing the lease: a dead lane is
   // pulled from the pool so the members' individual re-runs (and everyone
@@ -529,7 +465,6 @@ void Scheduler::RunBatch(std::vector<std::unique_ptr<ScheduledJob>>& batch) {
       m.device_oom = jr.status.code() == StatusCode::kOutOfMemory;
       result.status = std::move(jr.status);
       FinishJob(item, std::move(result));
-      if (on_job_done_) on_job_done_();
       continue;
     }
     m.stats = jr.run.stats;
@@ -542,7 +477,6 @@ void Scheduler::RunBatch(std::vector<std::unique_ptr<ScheduledJob>>& batch) {
     result.status = Status::Ok();
     result.c = std::move(jr.run.c);
     FinishJob(item, std::move(result));
-    if (on_job_done_) on_job_done_();
   }
 }
 

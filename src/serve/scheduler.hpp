@@ -19,8 +19,12 @@
 //    doubles the plan's nnz safety factor before each re-plan, bounded by
 //    the job's exec.max_oom_attempts, and each executor call makes one
 //    attempt.
-//  * A watchdog thread drives JobOptions::timeout_seconds through the
-//    executors' cooperative-cancel token.
+//  * A job's timeout is a wall-clock deadline stamped at submission: the
+//    scheduler checks it before running a queued job, and the executors
+//    check it at chunk and segment boundaries and between retry attempts.
+//    No thread watches the clock.
+//  * A job resolves where it finishes: its completion callback runs on the
+//    worker that finished it.
 //
 // Completed jobs are booked onto virtual *lanes* — one GPU lane per pool
 // device, a few CPU lanes — continuing the repository's virtual-time
@@ -31,12 +35,9 @@
 // every other virtual-seconds figure in the repo.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -85,9 +86,12 @@ struct ScheduledJob {
   std::uint64_t id = 0;
   SpgemmJob job;
   JobDemand demand;
-  std::promise<JobResult> promise;
-  std::chrono::steady_clock::time_point submit_wall;
-  std::shared_ptr<std::atomic<bool>> cancel;
+  /// Submission time plus the job's timeout; max() when it has none.
+  std::chrono::steady_clock::time_point deadline =
+      std::chrono::steady_clock::time_point::max();
+  /// Called exactly once with the job's result, on the worker thread that
+  /// resolved it.
+  std::function<void(JobResult)> done;
   /// Failovers inherited from a batch whose device faulted: when the batch
   /// falls back to per-job runs, each member starts its metrics from here.
   int failover_credit = 0;
@@ -109,9 +113,6 @@ class Scheduler {
   /// Closes the queue, lets workers drain every queued job, joins.
   void Stop();
 
-  /// Invoked after each job's promise is fulfilled (drain bookkeeping).
-  void set_on_job_done(std::function<void()> fn) { on_job_done_ = std::move(fn); }
-
   /// The server's cost-model calibrator (may be null).  In apply mode the
   /// dispatch path overrides each job's hybrid split and kernel-routing
   /// scales with the dispatched device's fitted state.  Set before Start().
@@ -129,17 +130,15 @@ class Scheduler {
 
  private:
   void WorkerLoop();
-  void WatchdogLoop();
   void RunJob(ScheduledJob& item);
   /// Runs an operand-sharing batch (leader first) through
   /// core::BatchedOutOfCore under one lease; falls back to per-job RunJob
-  /// when the batch fails as a whole.  Fulfils every member's promise and
-  /// fires on_job_done_ per member.
+  /// when the batch fails as a whole.  Resolves every member.
   void RunBatch(std::vector<std::unique_ptr<ScheduledJob>>& batch);
-  /// True when the job's timeout elapsed (or it was cancelled) while still
-  /// queued; finishes it with the not-executed marker when so.
+  /// True when the job's deadline passed while it was still queued;
+  /// finishes it with the not-executed marker when so.
   bool FinishIfExpiredInQueue(ScheduledJob& item);
-  /// Completes a job: releases admission, records stats, sets the promise.
+  /// Completes a job: releases admission, records stats, calls its `done`.
   void FinishJob(ScheduledJob& item, JobResult result);
   StatusOr<core::RunResult> Dispatch(core::ExecutionMode mode,
                                      const ScheduledJob& item,
@@ -150,8 +149,6 @@ class Scheduler {
   std::pair<double, double> BookLanes(bool uses_cpu,
                                       const std::vector<int>& gpu_lanes,
                                       double arrival, double duration);
-  void WatchJob(const ScheduledJob& item);
-  void UnwatchJob(const ScheduledJob& item);
 
   core::DevicePool& devices_;
   ThreadPool& pool_;
@@ -162,17 +159,6 @@ class Scheduler {
   calibrate::CostModelCalibrator* calibrator_ = nullptr;
 
   std::vector<std::thread> workers_;
-  std::thread watchdog_;
-  std::atomic<bool> stopping_{false};
-  std::function<void()> on_job_done_;
-
-  // Watchdog registry: jobs currently executing with a wall deadline.
-  struct Watched {
-    std::shared_ptr<std::atomic<bool>> cancel;
-    std::chrono::steady_clock::time_point deadline;
-  };
-  std::mutex watch_mutex_;
-  std::map<std::uint64_t, Watched> watched_;
 
   // Virtual booking lanes: one per pool device, plus the CPU lanes.
   mutable std::mutex lanes_mutex_;

@@ -4,6 +4,22 @@
 
 namespace oocgemm::serve {
 
+namespace {
+
+/// `seconds` from now; max() (no deadline) when it is not positive or lies
+/// past the clock's range.
+std::chrono::steady_clock::time_point DeadlineAfter(double seconds) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point now = Clock::now();
+  const double room =
+      std::chrono::duration<double>(Clock::time_point::max() - now).count();
+  if (!(seconds > 0.0) || !(seconds < room)) return Clock::time_point::max();
+  return now + std::chrono::duration_cast<Clock::duration>(
+                   std::chrono::duration<double>(seconds));
+}
+
+}  // namespace
+
 SpgemmServer::SpgemmServer(vgpu::Device& device, ThreadPool& pool,
                            ServerConfig config)
     : SpgemmServer(std::vector<vgpu::Device*>{&device}, pool,
@@ -24,10 +40,6 @@ SpgemmServer::SpgemmServer(std::vector<vgpu::Device*> devices,
   queue_.set_depth_gauge(&obs::MetricsRegistry::Default().GetGauge(
       "oocgemm_serve_queue_depth", queue_labels,
       "Jobs waiting in the bounded priority queue"));
-  scheduler_.set_on_job_done([this] {
-    std::unique_lock<std::mutex> lock(pending_mutex_);
-    if (--pending_ == 0) pending_cv_.notify_all();
-  });
   if (config_.calibrate.mode != calibrate::CalibrateMode::kOff) {
     calibrator_ = std::make_unique<calibrate::CostModelCalibrator>(
         config_.calibrate, &devices_);
@@ -39,8 +51,9 @@ SpgemmServer::SpgemmServer(std::vector<vgpu::Device*> devices,
 
 SpgemmServer::~SpgemmServer() { Shutdown(); }
 
-std::future<JobResult> SpgemmServer::Reject(std::uint64_t id, Status status,
-                                            const std::string& tenant) {
+void SpgemmServer::Reject(std::uint64_t id, Status status,
+                          const std::string& tenant,
+                          const std::function<void(JobResult)>& done) {
   static obs::Counter& rejects = obs::MetricsRegistry::Default().GetCounter(
       "oocgemm_serve_admission_rejects", {},
       "Submissions refused before reaching the queue");
@@ -51,12 +64,26 @@ std::future<JobResult> SpgemmServer::Reject(std::uint64_t id, Status status,
   result.metrics.tenant = tenant;
   result.metrics.outcome = JobOutcome::kRejected;
   stats_.RecordOutcome(result.metrics);
-  std::promise<JobResult> promise;
-  promise.set_value(std::move(result));
-  return promise.get_future();
+  done(std::move(result));
 }
 
 std::future<JobResult> SpgemmServer::Submit(SpgemmJob job) {
+  auto promise = std::make_shared<std::promise<JobResult>>();
+  std::future<JobResult> future = promise->get_future();
+  {
+    std::unique_lock<std::mutex> lock(pending_mutex_);
+    ++pending_;
+  }
+  Submit(std::move(job), [this, promise](JobResult result) {
+    promise->set_value(std::move(result));
+    std::unique_lock<std::mutex> lock(pending_mutex_);
+    if (--pending_ == 0) pending_cv_.notify_all();
+  });
+  return future;
+}
+
+void SpgemmServer::Submit(SpgemmJob job,
+                          std::function<void(JobResult)> done) {
   const std::uint64_t id = next_id_.fetch_add(1);
   stats_.RecordSubmitted(job.options.tenant);
 
@@ -64,17 +91,20 @@ std::future<JobResult> SpgemmServer::Submit(SpgemmJob job) {
     std::unique_lock<std::mutex> lock(pending_mutex_);
     if (shut_down_) {
       lock.unlock();
-      return Reject(id, Status::FailedPrecondition("server is shut down"),
-                    job.options.tenant);
+      Reject(id, Status::FailedPrecondition("server is shut down"),
+             job.options.tenant, done);
+      return;
     }
   }
   if (!job.a || !job.b) {
-    return Reject(id, Status::InvalidArgument("job is missing an operand"),
-                  job.options.tenant);
+    Reject(id, Status::InvalidArgument("job is missing an operand"),
+           job.options.tenant, done);
+    return;
   }
   if (job.a->cols() != job.b->rows()) {
-    return Reject(id, Status::InvalidArgument("dimension mismatch"),
-                  job.options.tenant);
+    Reject(id, Status::InvalidArgument("dimension mismatch"),
+           job.options.tenant, done);
+    return;
   }
   if (job.options.timeout_seconds <= 0.0) {
     job.options.timeout_seconds = config_.default_timeout_seconds;
@@ -104,36 +134,27 @@ std::future<JobResult> SpgemmServer::Submit(SpgemmJob job) {
   if (demand.plan != nullptr) job.options.exec.plan = demand.plan->options;
   Status admitted = admission_.Admit(demand, job.options.mode);
   if (!admitted.ok()) {
-    return Reject(id, std::move(admitted), job.options.tenant);
+    Reject(id, std::move(admitted), job.options.tenant, done);
+    return;
   }
 
   auto item = std::make_unique<ScheduledJob>();
   item->id = id;
   item->demand = demand;
-  item->submit_wall = std::chrono::steady_clock::now();
-  item->cancel = std::make_shared<std::atomic<bool>>(false);
+  item->deadline = DeadlineAfter(job.options.timeout_seconds);
+  item->done = std::move(done);
   const int priority = job.options.priority;
-  const std::string tenant = job.options.tenant;
   item->job = std::move(job);
-  std::future<JobResult> future = item->promise.get_future();
 
-  {
-    std::unique_lock<std::mutex> lock(pending_mutex_);
-    ++pending_;
-  }
   if (!queue_.TryPush(priority, std::move(item))) {
-    {
-      std::unique_lock<std::mutex> lock(pending_mutex_);
-      if (--pending_ == 0) pending_cv_.notify_all();
-    }
+    // A refused push leaves `item` with the caller.
     admission_.Release(demand);
-    return Reject(id,
-                  Status::ResourceExhausted(
-                      "job queue is full (" +
-                      std::to_string(queue_.capacity()) + " pending)"),
-                  tenant);
+    Reject(id,
+           Status::ResourceExhausted("job queue is full (" +
+                                     std::to_string(queue_.capacity()) +
+                                     " pending)"),
+           item->job.options.tenant, item->done);
   }
-  return future;
 }
 
 void SpgemmServer::Drain() {

@@ -1,10 +1,12 @@
-// The serving runtime's front door: submit SpgemmJobs, get futures.
+// The serving runtime's front door: submit SpgemmJobs, get a completion
+// callback or a future.
 //
 //   vgpu::Device device(vgpu::ScaledV100Properties(10));
 //   ThreadPool pool;
 //   serve::SpgemmServer server(device, pool);
 //   auto future = server.Submit({a, b, {.priority = 1}});
 //   serve::JobResult r = future.get();    // r.c, r.metrics, r.status
+//   server.Submit({a, b, {}}, [](serve::JobResult r) { /* ... */ });
 //
 // Multi-device nodes hand the server a fleet instead; the scheduler then
 // leases each device-side job the first free device that fits it (see
@@ -15,9 +17,9 @@
 // Submission runs validation, demand estimation and admission control on
 // the caller's thread (cheap — estimator plus panel planning, and the plan
 // made there is the one the job runs on a device of that size); accepted
-// jobs enter the bounded priority queue, rejected ones resolve their
-// future immediately with the rejection status.  Every submitted job's
-// future is eventually fulfilled — there is no silent drop path.
+// jobs enter the bounded priority queue, rejected ones resolve at once, on
+// the submitting thread, with the rejection status.  Every submitted job
+// resolves exactly once — there is no silent drop path.
 // Feasibility is judged against the *largest* pool device: a job only the
 // big device can hold is admitted, and placement keeps it off the small
 // ones.
@@ -26,6 +28,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -110,11 +113,16 @@ class SpgemmServer {
   SpgemmServer(const SpgemmServer&) = delete;
   SpgemmServer& operator=(const SpgemmServer&) = delete;
 
-  /// Thread-safe.  The future always resolves: with the product, or with a
-  /// rejection/timeout/failure status in JobResult::status.
+  /// Thread-safe.  Calls `done` exactly once: with the product, or with a
+  /// rejection/timeout/failure status in JobResult::status.  It runs on the
+  /// thread that resolved the job — the caller's for a rejection, else the
+  /// scheduler worker that finished it — so it must neither block nor
+  /// throw.
+  void Submit(SpgemmJob job, std::function<void(JobResult)> done);
+  /// The same, resolving a future instead; Drain() waits for these.
   std::future<JobResult> Submit(SpgemmJob job);
 
-  /// Blocks until every accepted job so far has resolved its future.
+  /// Blocks until every job submitted so far for a future has resolved it.
   void Drain();
 
   /// Stops accepting, drains the queue, joins the workers.  Idempotent;
@@ -135,8 +143,8 @@ class SpgemmServer {
   calibrate::CostModelCalibrator* calibrator() { return calibrator_.get(); }
 
  private:
-  std::future<JobResult> Reject(std::uint64_t id, Status status,
-                                const std::string& tenant);
+  void Reject(std::uint64_t id, Status status, const std::string& tenant,
+              const std::function<void(JobResult)>& done);
 
   core::DevicePool devices_;
   ServerConfig config_;

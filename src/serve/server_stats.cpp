@@ -16,8 +16,9 @@ ServerStats::ServerStats() {
                                        "Jobs finished successfully");
   metrics_.rejected = &reg.GetCounter("oocgemm_serve_jobs_rejected", {},
                                       "Jobs refused by admission");
-  metrics_.timed_out = &reg.GetCounter("oocgemm_serve_jobs_timed_out", {},
-                                       "Jobs cancelled by the watchdog");
+  metrics_.timed_out = &reg.GetCounter(
+      "oocgemm_serve_jobs_timed_out", {},
+      "Jobs whose deadline passed, queued or running");
   metrics_.failed = &reg.GetCounter("oocgemm_serve_jobs_failed", {},
                                     "Jobs failed after all retries");
   metrics_.failovers = &reg.GetCounter(

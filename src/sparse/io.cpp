@@ -74,6 +74,11 @@ StatusOr<Csr> ReadMatrixMarket(const std::string& path) {
   if (header.find("complex") != std::string::npos) {
     return Status::InvalidArgument("complex matrices unsupported: " + path);
   }
+  // "skew-symmetric" contains "symmetric", but its mirror is negated.
+  if (header.find("skew-symmetric") != std::string::npos) {
+    return Status::InvalidArgument("skew-symmetric matrices unsupported: " +
+                                   path);
+  }
 
   // Skip comments.
   do {
@@ -90,6 +95,10 @@ StatusOr<Csr> ReadMatrixMarket(const std::string& path) {
   if (rows > kMaxIndex || cols > kMaxIndex) {
     return Status::InvalidArgument("dimensions exceed the 32-bit index: " +
                                    line);
+  }
+  // Mirroring an entry swaps its row and column: only in range when square.
+  if (symmetric && rows != cols) {
+    return Status::InvalidArgument("symmetric matrix is not square: " + line);
   }
 
   Coo coo;

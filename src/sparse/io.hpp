@@ -16,7 +16,7 @@ namespace oocgemm::sparse {
 
 /// Reads a MatrixMarket "matrix coordinate real|integer|pattern
 /// general|symmetric" file.  Pattern entries get value 1.0; symmetric files
-/// are expanded to full storage.
+/// must be square and are expanded to full storage.
 StatusOr<Csr> ReadMatrixMarket(const std::string& path);
 
 /// Writes `a` as "matrix coordinate real general" with 1-based indices.

@@ -127,14 +127,16 @@ const std::byte* Device::Raw(DevicePtr ptr) const {
 }
 
 Stream* Device::CreateStream(const std::string& name) {
-  streams_.emplace_back(static_cast<int>(streams_.size()), name);
+  streams_.emplace_back(next_stream_id_++, name);
   return &streams_.back();
 }
 
+void Device::DestroyStream(Stream* stream) {
+  streams_.remove_if([stream](const Stream& s) { return &s == stream; });
+}
+
 SimTime Device::QuiesceTime() const {
-  SimTime t = std::max({compute_.free_at(), h2d_.free_at(), d2h_.free_at()});
-  for (const auto& s : streams_) t = std::max(t, s.last_end());
-  return t;
+  return std::max({compute_.free_at(), h2d_.free_at(), d2h_.free_at()});
 }
 
 void Device::SerializeDevice(HostContext& host, double overhead,
@@ -144,7 +146,6 @@ void Device::SerializeDevice(HostContext& host, double overhead,
   compute_.Fence(end);
   h2d_.Fence(end);
   d2h_.Fence(end);
-  for (auto& s : streams_) s.AdvanceTo(end);
   host.AdvanceTo(end);
   trace_.Add({category, label, -1, Interval{start, end}, 0});
 }

@@ -25,8 +25,8 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <functional>
+#include <list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -118,9 +118,10 @@ class Device {
   // --- memory -------------------------------------------------------------
 
   /// cudaMalloc analogue: blocks the host until the allocation completes and
-  /// *serializes the whole device* (fences both copy engines, the compute
-  /// engine, and every stream) — the behaviour that forbids dynamic
-  /// allocation inside the paper's asynchronous pipeline.
+  /// *serializes the whole device* (fences both copy engines and the
+  /// compute engine, so no stream's later work starts before it) — the
+  /// behaviour that forbids dynamic allocation inside the paper's
+  /// asynchronous pipeline.
   StatusOr<DevicePtr> Malloc(HostContext& host, std::int64_t bytes,
                              const std::string& label = "malloc");
 
@@ -159,8 +160,13 @@ class Device {
 
   // --- streams & synchronization -------------------------------------------
 
-  /// Creates a stream; the Device owns it (pointer stays valid).
+  /// Creates a stream; the Device owns it and the pointer stays valid until
+  /// DestroyStream.  Ids keep counting up, so a trace never reuses one.
   Stream* CreateStream(const std::string& name);
+  /// Releases a stream made by CreateStream; work it issued stays booked.
+  void DestroyStream(Stream* stream);
+  /// Streams created and not yet destroyed.
+  std::size_t live_streams() const { return streams_.size(); }
 
   /// Timestamp of the last operation issued to `stream`.
   Event RecordEvent(const Stream& stream) const { return Event{stream.last_end()}; }
@@ -178,7 +184,9 @@ class Device {
   /// Blocks the host until the whole device drains.
   void DeviceSynchronize(HostContext& host) { host.AdvanceTo(QuiesceTime()); }
 
-  /// Virtual time at which everything currently issued has finished.
+  /// Virtual time at which everything currently issued has finished: the
+  /// latest engine availability.  No stream ends later: a stream advances
+  /// only to an engine interval's end or to another stream's event.
   SimTime QuiesceTime() const;
 
   // --- operations -----------------------------------------------------------
@@ -306,7 +314,8 @@ class Device {
   Resource compute_{"compute"};
   Resource h2d_{"h2d"};
   Resource d2h_{"d2h"};
-  std::deque<Stream> streams_;
+  std::list<Stream> streams_;
+  int next_stream_id_ = 0;
   Stream* sync_stream_ = nullptr;  // internal stream for synchronous copies
   Trace trace_;
   FaultInjector* injector_ = nullptr;

@@ -3,7 +3,7 @@
 // per-member cancellation without failing the batch.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <chrono>
 #include <memory>
 #include <vector>
 
@@ -32,7 +32,7 @@ struct BatchFixture {
 
   std::vector<BatchJobSpec> Specs() const {
     std::vector<BatchJobSpec> specs;
-    for (const Csr& a : as) specs.push_back(BatchJobSpec{&a, nullptr, nullptr});
+    for (const Csr& a : as) specs.push_back(BatchJobSpec{&a});
     return specs;
   }
 };
@@ -99,9 +99,9 @@ TEST(BatchedOutOfCore, CancelledMemberDoesNotFailTheBatch) {
   ThreadPool pool(2);
   BatchFixture fx(3);
 
-  std::atomic<bool> cancelled{true};  // pre-cancelled: skipped immediately
   std::vector<BatchJobSpec> specs = fx.Specs();
-  specs[1].cancel = &cancelled;
+  // Already past its deadline: skipped at its first segment.
+  specs[1].deadline = std::chrono::steady_clock::now();
 
   auto run = BatchedOutOfCore(device, specs, fx.b, ExecutorOptions{}, pool);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
@@ -111,6 +111,26 @@ TEST(BatchedOutOfCore, CancelledMemberDoesNotFailTheBatch) {
     EXPECT_TRUE(testutil::CsrNear(
         run->jobs[i].run.c, kernels::ReferenceSpgemm(fx.as[i], fx.b)));
   }
+}
+
+// Members that fit the device alone but not together: the batch answers
+// with a status the caller can fall back from, before any allocation.
+TEST(BatchedOutOfCore, WorkspaceOverTheBudgetIsAStatus) {
+  vgpu::Device device(vgpu::ScaledV100Properties(14));  // 1 MiB
+  ThreadPool pool(2);
+  const testutil::WorkspaceMisfit m;
+  for (const Csr* a : {&m.wide_out, &m.wide_in}) {
+    auto alone = BatchedOutOfCore(device, {BatchJobSpec{a}}, m.b,
+                                  ExecutorOptions{}, pool);
+    ASSERT_TRUE(alone.ok()) << alone.status().ToString();
+    EXPECT_TRUE(testutil::CsrNear(alone->jobs[0].run.c,
+                                  kernels::ReferenceSpgemm(*a, m.b)));
+  }
+  auto both = BatchedOutOfCore(
+      device, {BatchJobSpec{&m.wide_out}, BatchJobSpec{&m.wide_in}}, m.b,
+      ExecutorOptions{}, pool);
+  EXPECT_EQ(both.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(device.used_bytes(), 0);
 }
 
 TEST(BatchedOutOfCore, RejectsEmptyAndNullInputs) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "kernels/device_spgemm.hpp"
 #include "kernels/reference_spgemm.hpp"
 #include "obs/metrics.hpp"
 #include "sparse/analysis.hpp"
@@ -283,6 +284,26 @@ TEST(Executors, StatsAreConsistent) {
   EXPECT_LE(s.d2h_fraction, 1.0);
   EXPECT_GE(s.total_seconds, s.d2h_seconds * s.d2h_fraction);
   EXPECT_GT(s.bytes_d2h, r->c.nnz() * 12);  // payload + info transfers
+}
+
+// Every run releases the streams it made, so a long-lived device holds
+// only its own sync-copy stream between runs however many jobs it served,
+// and a stream made after them still gets a fresh id.
+TEST(Executors, LiveStreamsStayBoundedOverManyRuns) {
+  Csr a = testutil::RandomCsr(32, 32, 2.0, 5);
+  vgpu::Device device = SmallDevice();
+  ThreadPool pool(1);
+  const std::size_t idle = device.live_streams();
+  for (int i = 0; i < 1000; ++i) {
+    switch (i % 4) {
+      case 0: ASSERT_TRUE(AsyncOutOfCore(device, a, a, {}, pool).ok()); break;
+      case 1: ASSERT_TRUE(SyncOutOfCore(device, a, a, {}, pool).ok()); break;
+      case 2: ASSERT_TRUE(Hybrid(device, a, a, {}, pool).ok()); break;
+      case 3: ASSERT_TRUE(kernels::MultiplyInCore(device, a, a).ok()); break;
+    }
+    ASSERT_EQ(device.live_streams(), idle) << "after run " << i;
+  }
+  EXPECT_GE(device.CreateStream("late")->id(), 1000);
 }
 
 }  // namespace

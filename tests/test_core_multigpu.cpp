@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
+#include <chrono>
 #include <memory>
 
 #include "core/executors.hpp"
@@ -140,16 +140,15 @@ TEST(MultiGpuHybrid, PropertyDealAndOutputInvariants) {
   }
 }
 
-// A cancel seen by the CPU lane ends the call with kCancelled; the partial
-// chunk set is never assembled.
+// A deadline seen passed by the CPU lane ends the call with kCancelled; the
+// partial chunk set is never assembled.
 TEST(MultiGpuHybrid, CpuLaneCancelReturnsCancelled) {
   Csr a = testutil::RandomRmat(9, 8.0, 8);
   Fleet fleet(2);
   ThreadPool pool(2);
-  std::atomic<bool> cancel{true};
   ExecutorOptions options;
   options.gpu_ratio = 0.0;  // every chunk on the CPU lane
-  options.cancel = &cancel;
+  options.deadline = std::chrono::steady_clock::now();
   auto r = MultiGpuHybrid(fleet.devices, a, a, options, pool);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCancelled);

@@ -3,7 +3,8 @@
 // factor, re-plan and still produce the correct result.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "core/executors.hpp"
@@ -97,17 +98,17 @@ TEST(OomRetry, HelperDoublesSafetyFactorWithinTheBudget) {
   EXPECT_EQ(factors, (std::vector<double>{1.5, 3.0, 6.0, 12.0}));
 }
 
-// A cancel that lands after an overflow ends the call as cancelled rather
-// than as the overflow, and no further attempt runs.
+// A deadline that passes during an overflowing attempt ends the call as
+// cancelled rather than as the overflow, and no further attempt runs.
 TEST(OomRetry, HelperStopsWithCancelledBetweenAttempts) {
-  std::atomic<bool> cancel{false};
   ExecutorOptions options;
-  options.cancel = &cancel;
+  options.deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
   int attempts = 0;
   auto r = RetryWithReplan(
       options,
-      [&](const ExecutorOptions&) -> StatusOr<int> {
-        cancel.store(true);
+      [&](const ExecutorOptions& o) -> StatusOr<int> {
+        std::this_thread::sleep_until(o.deadline);
         return Status::OutOfMemory("pool overflow");
       },
       &attempts);
@@ -115,12 +116,11 @@ TEST(OomRetry, HelperStopsWithCancelledBetweenAttempts) {
   EXPECT_EQ(attempts, 1);
 }
 
-// A call that starts cancelled runs no attempt: nothing is planned or
-// allocated under a lease the caller no longer wants.
+// A call that starts past its deadline runs no attempt: nothing is planned
+// or allocated under a lease the caller no longer wants.
 TEST(OomRetry, HelperRunsNoAttemptWhenCancelledBeforeTheCall) {
-  std::atomic<bool> cancel{true};
   ExecutorOptions options;
-  options.cancel = &cancel;
+  options.deadline = std::chrono::steady_clock::now();
   int attempts = 0;
   auto r = RetryWithReplan(
       options,

@@ -184,7 +184,7 @@ TEST(EstimateExecution, BatchedEstimateModeMatchesReference) {
     as.push_back(testutil::RandomCsr(b.rows(), b.rows(), 6.0, 900 + i));
   }
   std::vector<core::BatchJobSpec> specs;
-  for (const Csr& a : as) specs.push_back(core::BatchJobSpec{&a, nullptr, nullptr});
+  for (const Csr& a : as) specs.push_back(core::BatchJobSpec{&a});
 
   auto run =
       core::BatchedOutOfCore(device, specs, b, EstimateOptions(), pool);

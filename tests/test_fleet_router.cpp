@@ -1,11 +1,15 @@
 // FleetRouter end-to-end: affinity concentration, random-baseline spread,
-// hot-operand replication, cross-shard failover after a device kill, and
-// the report reconciliation contract (fleet totals == sum of per-shard
-// ServerReports, delivered outcomes == routed jobs).
+// hot-operand replication, cross-shard failover after a device kill, the
+// report reconciliation contract (fleet totals == sum of per-shard
+// ServerReports, delivered outcomes == routed jobs), and the threads a
+// fleet costs.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <filesystem>
 #include <future>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -44,6 +48,26 @@ serve::SpgemmJob MakeJob(std::shared_ptr<const Csr> a,
   job.b = std::move(b);
   job.options.mode = mode;
   return job;
+}
+
+/// Threads of this process, read once two reads a millisecond apart agree
+/// (a thread joined just before may linger in the list for an instant).
+int SettledThreadCount() {
+  auto count = [] {
+    int n = 0;
+    for (const auto& task :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      (void)task;
+      ++n;
+    }
+    return n;
+  };
+  for (int n = count();;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const int again = count();
+    if (again == n) return n;
+    n = again;
+  }
 }
 
 TEST(FleetRouter, AffinityConcentratesSameOperandOnOneShard) {
@@ -236,6 +260,75 @@ TEST(FleetRouter, ReportJsonCarriesShardSections) {
   EXPECT_NE(json.find("\"shard_reports\""), std::string::npos);
   EXPECT_NE(json.find("\"reconciles\": true"), std::string::npos);
   EXPECT_NE(json.find("\"policy\": \"affinity\""), std::string::npos);
+}
+
+// A server starts exactly its scheduler workers; a router starts none of
+// its own, so a fleet costs its shards' workers and nothing more.
+TEST(FleetRouter, StartsOnlyItsShardsWorkerThreads) {
+  ShardedFleet fleet(3, 1, 15);
+  ThreadPool pool(2);
+  FleetConfig config;
+  config.shard.scheduler.num_workers = 2;
+  {
+    const int before = SettledThreadCount();
+    serve::SpgemmServer server(fleet.shards[0], pool, config.shard);
+    EXPECT_EQ(SettledThreadCount() - before, 2);
+  }
+  {
+    const int before = SettledThreadCount();
+    FleetRouter router(fleet.shards, pool, config);
+    EXPECT_EQ(SettledThreadCount() - before, 3 * 2);
+  }
+}
+
+// A job resolves where it finishes: a young job on one shard reaches its
+// caller while two older jobs on another shard still wait for that shard's
+// device, which the test holds.
+TEST(FleetRouter, FinishedJobResolvesWhileOlderJobsElsewhereRun) {
+  ShardedFleet fleet(2, 1, 15);
+  ThreadPool pool(2);
+  FleetConfig config;
+  config.shard.scheduler.num_workers = 2;
+  FleetRouter router(fleet.shards, pool, config);
+
+  auto held_b = std::make_shared<const Csr>(testutil::RandomRmat(6, 5.0, 42));
+  const int held = router.PrimaryShardFor(*held_b);
+  std::shared_ptr<const Csr> free_b;
+  for (std::uint64_t seed = 43; seed < 107 && free_b == nullptr; ++seed) {
+    auto b = std::make_shared<const Csr>(testutil::RandomRmat(6, 5.0, seed));
+    if (router.PrimaryShardFor(*b) != held) free_b = b;
+  }
+  ASSERT_NE(free_b, nullptr);
+
+  // Declared after the router, so it is released before the router drains.
+  core::DevicePool::Slot lease = router.shard(held).device_pool().Acquire();
+  ASSERT_TRUE(lease.held());
+  std::vector<std::future<serve::JobResult>> older;
+  for (int j = 0; j < 2; ++j) {
+    auto a = std::make_shared<const Csr>(
+        testutil::RandomCsr(32, held_b->rows(), 3.0, 600 + j));
+    older.push_back(
+        router.Submit(MakeJob(a, held_b, core::ExecutionMode::kGpuOutOfCore)));
+  }
+  auto a = std::make_shared<const Csr>(
+      testutil::RandomCsr(32, free_b->rows(), 3.0, 610));
+  std::future<serve::JobResult> young =
+      router.Submit(MakeJob(a, free_b, core::ExecutionMode::kGpuOutOfCore));
+
+  ASSERT_EQ(young.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  for (auto& f : older) {
+    EXPECT_EQ(f.wait_for(std::chrono::seconds(0)),
+              std::future_status::timeout);
+  }
+  serve::JobResult r = young.get();
+  ASSERT_TRUE(r.ok()) << r.status.ToString();
+  EXPECT_TRUE(testutil::CsrNear(r.c, kernels::ReferenceSpgemm(*a, *free_b)));
+
+  lease.Release();
+  router.Drain();
+  for (auto& f : older) EXPECT_TRUE(f.get().ok());
+  EXPECT_TRUE(router.Report().Reconciles()) << router.Report().DebugString();
 }
 
 }  // namespace

@@ -155,6 +155,55 @@ TEST(ServeBatching, MixedOperandQueueDoesNotOverBatch) {
   EXPECT_EQ(server.Report().batches, 0);
 }
 
+// Two jobs that fit the device alone but not on one shared workspace: the
+// batch's lease asks for the shared workspace, no device holds it, and
+// the members run one by one.
+TEST(ServeBatching, MembersThatDoNotFitTogetherRunOneByOne) {
+  const testutil::WorkspaceMisfit m;
+  const auto b = Shared(m.b);
+  const std::vector<std::shared_ptr<const Csr>> as = {Shared(m.wide_out),
+                                                      Shared(m.wide_in)};
+  vgpu::Device device(vgpu::ScaledV100Properties(14));
+  ThreadPool pool(2);
+  ServerConfig config;
+  config.scheduler.num_workers = 1;
+  config.scheduler.max_batch_jobs = 2;
+  SpgemmServer server(device, pool, config);
+
+  // Hold the one worker on a CPU-only blocker whose kernels wait behind
+  // gate tasks on the pool, so both jobs are queued when it frees.
+  std::promise<void> gate;
+  std::shared_future<void> open = gate.get_future().share();
+  for (std::size_t i = 0; i < pool.num_threads(); ++i) {
+    pool.Submit([open] { open.wait(); });
+  }
+  auto blocker_m = Shared(testutil::RandomRmat(9, 8.0, 51));
+  SpgemmJob blocker{blocker_m, blocker_m, {}};
+  blocker.options.mode = core::ExecutionMode::kCpuOnly;
+  blocker.options.priority = 10;
+  std::future<JobResult> blocked = server.Submit(std::move(blocker));
+  std::vector<std::future<JobResult>> futures;
+  for (const auto& a : as) {
+    SpgemmJob job{a, b, {}};
+    job.options.mode = core::ExecutionMode::kGpuOutOfCore;
+    futures.push_back(server.Submit(std::move(job)));
+  }
+  gate.set_value();
+  server.Drain();
+
+  ASSERT_TRUE(blocked.get().ok());
+  for (std::size_t i = 0; i < as.size(); ++i) {
+    JobResult r = futures[i].get();
+    ASSERT_TRUE(r.ok()) << r.status.ToString();
+    EXPECT_EQ(r.metrics.batch_size, 1);
+    EXPECT_TRUE(
+        testutil::CsrNear(r.c, kernels::ReferenceSpgemm(*as[i], *b)));
+  }
+  const ServerReport report = server.Report();
+  EXPECT_EQ(report.batches, 0);
+  EXPECT_EQ(report.batch_fallbacks, 1);
+}
+
 TEST(ServeBatching, ExtractIfPeelsMatchesInOrderAndKeepsOthers) {
   BoundedJobQueue<int> queue(16);
   for (int v : {10, 21, 32, 43, 54}) {

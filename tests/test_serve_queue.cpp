@@ -2,8 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -53,64 +51,6 @@ TEST(BoundedJobQueue, CloseWakesBlockedPopper) {
   q.Close();
   popper.join();
   EXPECT_EQ(got, std::nullopt);
-}
-
-TEST(BoundedJobQueue, BlockingPushWaitsForSpaceFromPop) {
-  BoundedJobQueue<int> q(2);
-  ASSERT_TRUE(q.TryPush(0, 1));
-  ASSERT_TRUE(q.TryPush(0, 2));
-  bool pushed = false;
-  std::thread producer([&] { pushed = q.Push(0, 3); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(pushed);  // still saturated
-  EXPECT_EQ(q.Pop(), 1);
-  producer.join();
-  EXPECT_TRUE(pushed);
-  EXPECT_EQ(q.size(), 2u);
-}
-
-// Regression: ExtractIf used to remove items without signalling producers
-// blocked on a full queue — the batch former could peel companions and
-// leave a submitter waiting forever on space that already existed.
-TEST(BoundedJobQueue, ExtractIfWakesBlockedProducers) {
-  BoundedJobQueue<int> q(2);
-  ASSERT_TRUE(q.TryPush(0, 1));
-  ASSERT_TRUE(q.TryPush(0, 2));
-  std::vector<std::thread> producers;
-  std::atomic<int> pushed{0};
-  for (int p = 0; p < 2; ++p) {
-    producers.emplace_back([&q, &pushed, p] {
-      if (q.Push(0, 10 + p)) pushed.fetch_add(1);
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(pushed.load(), 0);  // both blocked on the saturated queue
-  // Peel everything, Pop nothing: only ExtractIf's wakeup can free them.
-  const std::vector<int> peeled =
-      q.ExtractIf([](const int&) { return true; }, 2);
-  EXPECT_EQ(peeled.size(), 2u);
-  for (auto& t : producers) t.join();
-  EXPECT_EQ(pushed.load(), 2);
-  EXPECT_EQ(q.size(), 2u);
-}
-
-TEST(BoundedJobQueue, BlockingPushTimesOutOnSaturatedQueue) {
-  BoundedJobQueue<int> q(1);
-  ASSERT_TRUE(q.TryPush(0, 1));
-  EXPECT_FALSE(q.Push(0, 2, /*timeout_seconds=*/0.02));
-  EXPECT_EQ(q.size(), 1u);
-}
-
-TEST(BoundedJobQueue, CloseWakesBlockedPusher) {
-  BoundedJobQueue<int> q(1);
-  ASSERT_TRUE(q.TryPush(0, 1));
-  bool result = true;
-  std::thread producer([&] { result = q.Push(0, 2); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  q.Close();
-  producer.join();
-  EXPECT_FALSE(result);  // closed queues refuse new work
-  EXPECT_EQ(q.size(), 1u);
 }
 
 TEST(BoundedJobQueue, ConcurrentProducersConsumersSeeEveryItem) {

@@ -1,5 +1,5 @@
 // End-to-end serving runtime tests: the concurrent-jobs oracle, admission
-// rejection, the timeout watchdog, and scheduler-level retry-with-replan.
+// rejection, timeout deadlines, and scheduler-level retry-with-replan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -155,7 +155,7 @@ TEST(SpgemmServer, QueueFullRejectsWhileWorkerBusy) {
   EXPECT_EQ(server.Report().device_oom_failures, 0);
 }
 
-TEST(SpgemmServer, TimeoutCancelsViaWatchdog) {
+TEST(SpgemmServer, TimeoutCancelsAtTheDeadline) {
   vgpu::Device device(vgpu::ScaledV100Properties(14));
   ThreadPool pool(1);
   ServerConfig config;
@@ -166,7 +166,7 @@ TEST(SpgemmServer, TimeoutCancelsViaWatchdog) {
   SpgemmJob job{big, big, {}};
   job.options.timeout_seconds = 0.002;  // far below the job's real runtime
   job.options.mode = core::ExecutionMode::kHybrid;  // multi-chunk: many
-                                                    // cancellation points
+                                                    // deadline checks
   JobResult r = server.Submit(std::move(job)).get();
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.metrics.outcome, JobOutcome::kTimedOut);

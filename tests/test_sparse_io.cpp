@@ -9,10 +9,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "test_util.hpp"
 
 namespace oocgemm::sparse {
@@ -126,6 +131,15 @@ TEST_F(IoTest, RejectsComplexField) {
   EXPECT_FALSE(ReadMatrixMarket(Path("cx.mtx")).ok());
 }
 
+TEST_F(IoTest, RejectsSkewSymmetricFiles) {
+  // Mirroring 2.0 without its sign would read a different matrix.
+  WriteFile("skew.mtx",
+            "%%MatrixMarket matrix coordinate real skew-symmetric\n"
+            "2 2 1\n"
+            "2 1 2.0\n");
+  EXPECT_FALSE(ReadMatrixMarket(Path("skew.mtx")).ok());
+}
+
 TEST_F(IoTest, BinaryRejectsCorruptMagic) {
   WriteFile("junk.bin", "XXXXXXXXXXXXXXXXXXXXXXXXXXX");
   auto m = ReadBinary(Path("junk.bin"));
@@ -220,6 +234,149 @@ TEST_F(IoTest, EmptyMatrixRoundTrips) {
   auto mb = ReadBinary(Path("e.bin"));
   ASSERT_TRUE(mb.ok());
   EXPECT_TRUE(mb.value() == m);
+}
+
+// A seeded corpus of damaged files: each read must end in a Status or in a
+// well-formed Csr (Validate: monotone offsets, in-range ascending ids), and
+// never abort.  The damage keeps row counts small — a header whose row
+// count is in range but past host memory is
+// RowsPastHostMemoryAreResourceExhausted's case.
+class IoCorpus : public IoTest {
+ protected:
+  /// Writes `bytes` and reads them back with `read`.
+  template <typename Read>
+  void ExpectStatusOrValid(const std::string& bytes, Read read,
+                           const std::string& what) {
+    {
+      std::ofstream out(Path("m"), std::ios::binary);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    const StatusOr<Csr> m = read(Path("m"));
+    if (m.ok()) {
+      EXPECT_TRUE(m->Validate().ok()) << what;
+    }
+  }
+
+  /// Truncations at every 7th byte, single-bit flips and byte overwrites.
+  template <typename Read>
+  void ExpectDamageHandled(const std::string& bytes, Read read) {
+    for (std::size_t n = 0; n < bytes.size(); n += 7) {
+      ExpectStatusOrValid(bytes.substr(0, n), read,
+                          "truncated at " + std::to_string(n));
+    }
+    Pcg32 rng(/*seed=*/11);
+    constexpr char kNoise[] = "\0\xff \n\t%-+.e0123456789ainx";
+    const std::string noise(kNoise, sizeof(kNoise) - 1);
+    for (int i = 0; i < 600; ++i) {
+      std::string damaged = bytes;
+      const std::size_t at = rng.Below(static_cast<std::uint32_t>(bytes.size()));
+      if (i % 3 == 0) {
+        damaged[at] = noise[rng.Below(static_cast<std::uint32_t>(noise.size()))];
+      } else {
+        damaged[at] = static_cast<char>(damaged[at] ^ (1 << rng.Below(8)));
+      }
+      ExpectStatusOrValid(damaged, read, "byte " + std::to_string(at) +
+                                             " damaged, sample " +
+                                             std::to_string(i));
+    }
+  }
+
+  static std::string Slurp(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  }
+};
+
+TEST_F(IoCorpus, DamagedMatrixMarketIsAStatusOrWellFormed) {
+  const Csr m = testutil::RandomCsr(24, 20, 2.0, 5);
+  ASSERT_TRUE(WriteMatrixMarket(m, Path("base.mtx")).ok());
+  const std::string text = Slurp(Path("base.mtx"));
+  ExpectDamageHandled(text, ReadMatrixMarket);
+
+  const std::size_t header_end = text.find('\n') + 1;
+  const std::size_t sizes_end = text.find('\n', header_end) + 1;
+  const std::string entries = text.substr(sizes_end);
+
+  // Every field and symmetry qualifier, known or not, over the same body.
+  for (const char* field :
+       {"real", "integer", "pattern", "complex", "double", ""}) {
+    for (const char* symmetry :
+         {"general", "symmetric", "skew-symmetric", "hermitian", ""}) {
+      for (const char* format : {"coordinate", "array"}) {
+        const std::string header = std::string("%%MatrixMarket matrix ") +
+                                   format + " " + field + " " + symmetry +
+                                   "\n";
+        ExpectStatusOrValid(header + text.substr(header_end), ReadMatrixMarket,
+                            header);
+      }
+    }
+  }
+
+  // Duplicate entry lines, counted in the header or not.
+  Pcg32 rng(/*seed=*/12);
+  std::vector<std::string> lines;
+  for (std::size_t at = 0; at < entries.size();) {
+    const std::size_t end = entries.find('\n', at) + 1;
+    lines.push_back(entries.substr(at, end - at));
+    at = end;
+  }
+  for (int i = 0; i < 40; ++i) {
+    std::vector<std::string> dup = lines;
+    const int copies = 1 + static_cast<int>(rng.Below(4));
+    for (int c = 0; c < copies; ++c) {
+      dup.push_back(lines[rng.Below(static_cast<std::uint32_t>(lines.size()))]);
+    }
+    const bool counted = i % 2 == 0;
+    std::string body = text.substr(0, header_end) + "24 20 " +
+                       std::to_string(counted ? dup.size() : lines.size()) +
+                       "\n";
+    for (const std::string& line : dup) body += line;
+    ExpectStatusOrValid(body, ReadMatrixMarket,
+                        "duplicates, sample " + std::to_string(i));
+  }
+
+  // Counts past the file, past int64 and past the index range.
+  for (const char* sizes :
+       {"24 20 9223372036854775807", "24 20 99999999999999999999",
+        "24 20 1000000000000000000", "24 20 -1", "2147483648 20 48",
+        "24 4294967297 48", "99999999999999999999 20 48", "-24 20 48",
+        "24 20", ""}) {
+    ExpectStatusOrValid(text.substr(0, header_end) + sizes + "\n" + entries,
+                        ReadMatrixMarket, sizes);
+  }
+}
+
+TEST_F(IoCorpus, DamagedBinaryIsAStatusOrWellFormed) {
+  const Csr m = testutil::RandomCsr(24, 20, 2.0, 6);
+  ASSERT_TRUE(WriteBinary(m, Path("base.bin")).ok());
+  const std::string bytes = Slurp(Path("base.bin"));
+  ExpectDamageHandled(bytes, ReadBinary);
+
+  // Header fields (rows, cols, nnz at bytes 8, 16, 24) set past the file,
+  // past the index range and negative.
+  for (int field = 0; field < 3; ++field) {
+    for (const std::int64_t value :
+         {std::int64_t{-1}, std::int64_t{1} << 31, std::int64_t{1} << 32,
+          std::numeric_limits<std::int64_t>::max(), std::int64_t{1} << 40}) {
+      std::string damaged = bytes;
+      std::memcpy(&damaged[8 + 8 * static_cast<std::size_t>(field)], &value,
+                  sizeof(value));
+      ExpectStatusOrValid(damaged, ReadBinary,
+                          "header field " + std::to_string(field) + " = " +
+                              std::to_string(value));
+    }
+  }
+
+  // A row holding one column twice.
+  const std::size_t ids = 32 + sizeof(offset_t) * (m.rows() + 1);
+  for (index_t r = 0; r < m.rows(); ++r) {
+    if (m.row_nnz(r) < 2) continue;
+    std::string damaged = bytes;
+    const std::size_t at = ids + sizeof(index_t) * m.row_begin(r);
+    std::memcpy(&damaged[at + sizeof(index_t)], &damaged[at], sizeof(index_t));
+    ExpectStatusOrValid(damaged, ReadBinary,
+                        "duplicate column in row " + std::to_string(r));
+  }
 }
 
 }  // namespace
