@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cmath>
 
+#include "common/saturating.hpp"
+
 namespace oocgemm::calibrate {
 namespace {
 
@@ -15,6 +17,21 @@ constexpr double kMinRouteScale = 0.25;
 constexpr double kMaxRouteScale = 8.0;
 constexpr double kMinGpuRatio = 0.05;
 constexpr double kMaxGpuRatio = 0.95;
+
+constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
+
+std::int64_t SteadyNowNanos() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// Steady-clock nanoseconds `seconds` after `now`, saturating short of
+/// kNever, which marks ticks as not armed.
+std::int64_t DueAfter(std::int64_t now, double seconds) {
+  return std::min(kNever - 1, common::SaturatingAdd(
+                                  now, common::SaturatingCast(seconds * 1e9)));
+}
 
 obs::Labels DeviceLabels(int index) {
   return {{"device", std::to_string(index)}};
@@ -80,19 +97,29 @@ CostModelCalibrator::CostModelCalibrator(CalibratorConfig config,
 CostModelCalibrator::~CostModelCalibrator() { Stop(); }
 
 void CostModelCalibrator::Start() {
-  if (config_.mode == CalibrateMode::kOff) return;
-  if (config_.interval_seconds > 0.0 && !thread_.joinable()) {
-    stop_.store(false, std::memory_order_release);
-    thread_ = std::thread(&CostModelCalibrator::ThreadLoop, this);
+  if (config_.mode == CalibrateMode::kOff ||
+      !(config_.interval_seconds > 0.0)) {
+    return;
   }
+  std::int64_t disarmed = kNever;
+  next_tick_ns_.compare_exchange_strong(
+      disarmed, DueAfter(SteadyNowNanos(), config_.interval_seconds));
 }
 
 void CostModelCalibrator::Stop() {
-  if (thread_.joinable()) {
-    stop_.store(true, std::memory_order_release);
-    thread_.join();
-    // The final tick: traffic between the last periodic tick and Stop is
-    // still folded in, so short runs calibrate too.
+  if (next_tick_ns_.exchange(kNever) != kNever) {
+    // The final tick: traffic since the last completion-path tick is still
+    // folded in, so short runs calibrate too.
+    TickNow();
+  }
+}
+
+void CostModelCalibrator::MaybeTick() {
+  const std::int64_t now = SteadyNowNanos();
+  std::int64_t due = next_tick_ns_.load();
+  if (now < due) return;
+  if (next_tick_ns_.compare_exchange_strong(
+          due, DueAfter(now, config_.interval_seconds))) {
     TickNow();
   }
 }
@@ -114,20 +141,6 @@ void CostModelCalibrator::TickNow() {
 std::shared_ptr<const CalibratedModel> CostModelCalibrator::model() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return model_;
-}
-
-void CostModelCalibrator::ThreadLoop() {
-  using Clock = std::chrono::steady_clock;
-  const auto interval = std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double>(config_.interval_seconds));
-  Clock::time_point next = Clock::now() + interval;
-  while (!stop_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    if (Clock::now() >= next) {
-      TickNow();
-      next = Clock::now() + interval;
-    }
-  }
 }
 
 void CostModelCalibrator::IngestLocked(const obs::RegistrySnapshot& snap,

@@ -13,29 +13,29 @@
 // registry, forms per-device (delta bytes, delta seconds) and
 // (delta flops, delta seconds) samples, and feeds them to robust online
 // regressions (calibrate/fit.hpp).  When a refit passes the confidence
-// gate it publishes a CalibratedModel consumed at four decision points:
+// gate it publishes a CalibratedModel consumed at three decision points:
 //
 //   (a) hybrid split — the scheduler overrides gpu_ratio with the
 //       dispatched device's S/(S+1), S = fitted device rate / fitted CPU
 //       rate (paper rule, live inputs);
-//   (b) admission — EstimateJobDemand[Sampled] price latency with the
-//       fitted rates (AdmissionRates);
-//   (c) placement — DevicePool leases free devices in order of fitted
+//   (b) placement — DevicePool leases free devices in order of fitted
 //       effective rate, steering work off degraded devices;
-//   (d) kernel routing — RouteRow cost scales track the fitted/static
+//   (c) kernel routing — RouteRow cost scales track the fitted/static
 //       rate ratio.
 //
 // Modes: kOff (no calibrator), kObserve (fit + oocgemm_calibrate_*
-// metrics, decisions stay static), kApply (fitted model feeds all four
-// decision points).  Ticks come from an optional background thread
-// (interval_seconds > 0) or explicit TickNow() calls (tests, benches).
+// metrics, decisions stay static), kApply (fitted model feeds all three
+// decision points).  The calibrator owns no thread: ticks run on the
+// completion path (a scheduler worker calls MaybeTick() after finishing a
+// job, and one tick runs once interval_seconds have passed since the
+// last), in Stop(), or through explicit TickNow() calls (tests, benches).
 #pragma once
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "calibrate/fit.hpp"
@@ -53,8 +53,8 @@ bool ParseCalibrateMode(const std::string& text, CalibrateMode* mode);
 
 struct CalibratorConfig {
   CalibrateMode mode = CalibrateMode::kOff;
-  /// Background tick period in wall seconds; 0 disables the thread (ticks
-  /// then only happen through TickNow()).
+  /// Wall seconds between completion-path ticks (MaybeTick); 0 leaves
+  /// ticks to TickNow() alone.
   double interval_seconds = 0.0;
   FitConfig fit;
   /// Static reference rates the fits are gated against and compared to.
@@ -77,11 +77,17 @@ class CostModelCalibrator {
   CostModelCalibrator(const CostModelCalibrator&) = delete;
   CostModelCalibrator& operator=(const CostModelCalibrator&) = delete;
 
-  /// Starts the background tick thread when interval_seconds > 0.
+  /// Arms completion-path ticks when interval_seconds > 0 (and the mode is
+  /// not kOff): the first falls due interval_seconds from now.
   void Start();
-  /// Stops the thread (idempotent); one final tick runs first so the last
-  /// interval's traffic is never lost.
+  /// Disarms them (idempotent); when Start() armed them, one final tick
+  /// runs, so the last interval's traffic is never lost.
   void Stop();
+
+  /// Runs one tick when the armed interval has passed since the last one,
+  /// else returns at once.  Thread-safe: when several callers find the
+  /// tick due, the one that advances the due time runs it.
+  void MaybeTick();
 
   /// One calibration pass: snapshot, delta, fit, publish.  Thread-safe.
   void TickNow();
@@ -111,7 +117,6 @@ class CostModelCalibrator {
     double launches = 0.0, flops = 0.0, kernel_seconds = 0.0;
   };
 
-  void ThreadLoop();
   /// Requires mutex_ held.  Forms counter deltas against the previous tick
   /// and feeds them to the fits (`record` false only seeds the baseline).
   void IngestLocked(const obs::RegistrySnapshot& snap, bool record);
@@ -129,8 +134,10 @@ class CostModelCalibrator {
   std::shared_ptr<const CalibratedModel> model_;
 
   std::atomic<std::int64_t> ticks_{0};
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
+  /// Steady-clock nanoseconds at which MaybeTick next runs a tick; the
+  /// int64 maximum while ticks are not armed (before Start, after Stop).
+  std::atomic<std::int64_t> next_tick_ns_{
+      std::numeric_limits<std::int64_t>::max()};
 };
 
 }  // namespace oocgemm::calibrate

@@ -40,48 +40,4 @@ CalibratedModel CalibratedModel::FromStatic(int num_devices,
   return CalibratedModel(std::move(devices), cpu);
 }
 
-ExecRates CalibratedModel::AdmissionRates(const ExecRates& static_rates) const {
-  ExecRates r = static_rates;
-  double best_h2d = 0.0, best_d2h = 0.0, best_rate = 0.0;
-  double best_rate_overhead = 0.0;
-  for (const DeviceModel& d : devices_) {
-    if (d.h2d_confident) best_h2d = std::max(best_h2d, d.h2d_bandwidth);
-    if (d.d2h_confident) best_d2h = std::max(best_d2h, d.d2h_bandwidth);
-    if (d.rate_confident && d.flop_rate > best_rate) {
-      best_rate = d.flop_rate;
-      best_rate_overhead = d.launch_overhead;
-    }
-  }
-  if (best_h2d > 0.0) r.h2d_bandwidth = best_h2d;
-  if (best_d2h > 0.0) r.d2h_bandwidth = best_d2h;
-  if (best_rate > 0.0) {
-    r.gpu_flop_rate = best_rate;
-    r.kernel_launch_overhead = best_rate_overhead;
-  }
-  if (cpu_.confident && cpu_.flop_rate > 0.0) r.cpu_flop_rate = cpu_.flop_rate;
-  return r;
-}
-
-double EstimateExecSeconds(std::int64_t flops, std::int64_t bytes_in,
-                           std::int64_t bytes_out, bool gpu_feasible,
-                           int planned_chunks, const ExecRates& rates) {
-  const double f = static_cast<double>(std::max<std::int64_t>(0, flops));
-  if (!gpu_feasible) {
-    return rates.cpu_flop_rate > 0.0 ? f / rates.cpu_flop_rate : 0.0;
-  }
-  double seconds = 0.0;
-  if (rates.h2d_bandwidth > 0.0) {
-    seconds += static_cast<double>(std::max<std::int64_t>(0, bytes_in)) /
-               rates.h2d_bandwidth;
-  }
-  if (rates.d2h_bandwidth > 0.0) {
-    seconds += static_cast<double>(std::max<std::int64_t>(0, bytes_out)) /
-               rates.d2h_bandwidth;
-  }
-  if (rates.gpu_flop_rate > 0.0) seconds += f / rates.gpu_flop_rate;
-  seconds += rates.kernel_launch_overhead * kLaunchesPerChunk *
-             static_cast<double>(std::max(0, planned_chunks));
-  return seconds;
-}
-
 }  // namespace oocgemm::calibrate

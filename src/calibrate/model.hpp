@@ -12,8 +12,8 @@
 //    introduce a ulp of drift);
 //  * RouteScalesFor returns identity scales unless the device's compute
 //    fit diverged from the static rate;
-//  * AdmissionRates returns the static transfer/compute rates for every
-//    quantity whose fit has not yet passed the confidence gate.
+//  * RateHintFor returns 0 (no placement preference) until the device's
+//    compute fit passes the confidence gate.
 #pragma once
 
 #include <algorithm>
@@ -26,9 +26,8 @@
 
 namespace oocgemm::calibrate {
 
-/// The transfer/compute rates one admission-time latency estimate uses.
-/// All rates are "effective, end to end" (they absorb launch overheads and
-/// phase mix), which is exactly what a latency estimate wants.
+/// The transfer/compute rates of one device and the CPU.  All rates are
+/// "effective, end to end" (they absorb launch overheads and phase mix).
 struct ExecRates {
   double h2d_bandwidth = 0.0;        // bytes/s
   double d2h_bandwidth = 0.0;        // bytes/s
@@ -40,7 +39,7 @@ struct ExecRates {
 /// The static reference rates, derived from the same constants the
 /// executors hard-code: DeviceProperties bandwidths and the CostModel
 /// rates at a reference compression ratio.  This is the baseline every
-/// fitted rate is compared against, and the admission fallback while the
+/// fitted rate is compared against, and the published value while the
 /// confidence gate holds.
 ExecRates StaticExecRates(
     const kernels::CostModel& cm = {},
@@ -110,13 +109,6 @@ class CalibratedModel {
     return d.rate_confident ? d.routing : kernels::RouteCalibration{};
   }
 
-  /// Rates for an admission-time latency estimate.  Jobs are not yet
-  /// placed at admission, so each quantity takes the *best* confident
-  /// device (admission asks "can any device make the deadline", mirroring
-  /// feasibility against the largest pool device); quantities with no
-  /// confident fit keep the static value.
-  ExecRates AdmissionRates(const ExecRates& static_rates) const;
-
   /// Fitted effective flop rate of `device`, or 0 when not confident —
   /// the DevicePool placement tie-break hint.
   double RateHintFor(int device) const {
@@ -129,17 +121,5 @@ class CalibratedModel {
   std::vector<DeviceModel> devices_;
   CpuModel cpu_;
 };
-
-/// The admission-time latency estimate: transfer at the model's bandwidths
-/// plus compute at the model's effective rate plus per-chunk launch
-/// overheads (kLaunchesPerChunk kernels per chunk: analysis, up to a
-/// handful of symbolic and numeric group launches).  GPU-infeasible jobs
-/// are priced at the CPU rate.  Deterministic in its inputs — the
-/// differential harness relies on bitwise equality when the rates match.
-inline constexpr double kLaunchesPerChunk = 8.0;
-
-double EstimateExecSeconds(std::int64_t flops, std::int64_t bytes_in,
-                           std::int64_t bytes_out, bool gpu_feasible,
-                           int planned_chunks, const ExecRates& rates);
 
 }  // namespace oocgemm::calibrate

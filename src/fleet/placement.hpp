@@ -1,10 +1,11 @@
 // Content-stable placement keys for B operands.
 //
-// The serving layer's OperandFingerprint (serve/batching.hpp) is pointer
-// identity — correct for forming a batch inside one process, useless for
-// placement: a restarted client re-loads the same matrix at a different
-// address.  The fleet instead keys the ring on a digest of the matrix's
-// *content*: shape, nnz, and a bounded sample of the structure arrays.
+// The serving layer's batch former (serve/batching.hpp) matches B operands
+// by pointer identity — correct for forming a batch inside one process,
+// useless for placement: a restarted client re-loads the same matrix at a
+// different address.  The fleet instead keys the ring on a digest of the
+// matrix's *content*: shape, nnz, and a bounded sample of the structure
+// arrays.
 // Two processes loading the same matrix therefore route to the same shard,
 // which is what makes PanelCache affinity survive restarts.
 //

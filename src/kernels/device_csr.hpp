@@ -1,16 +1,16 @@
-// Device-resident CSR panels and their upload path.
+// Device-resident CSR panels.
 //
 // Panels of A and B live in device memory as the usual three CSR arrays
 // (Section III-A of the paper: "we store data using CSR format on device
-// memory because it is the most commonly used data format").
+// memory because it is the most commonly used data format").  The panel
+// cache (core/panel_cache.hpp) uploads them into slots it pre-allocated;
+// ChunkPipeline reads them.
 #pragma once
 
 #include <cstdint>
 
-#include "common/status.hpp"
 #include "sparse/csr.hpp"
 #include "vgpu/device.hpp"
-#include "vgpu/memory_source.hpp"
 
 namespace oocgemm::kernels {
 
@@ -21,32 +21,6 @@ struct DeviceCsr {
   vgpu::DevicePtr row_offsets;  // (rows + 1) offset_t
   vgpu::DevicePtr col_ids;      // nnz index_t
   vgpu::DevicePtr values;       // nnz value_t
-
-  std::int64_t StorageBytes() const {
-    return row_offsets.size + col_ids.size + values.size;
-  }
 };
-
-/// Required device bytes for uploading `m` (allocator-aligned upper bound).
-std::int64_t DeviceCsrBytes(const sparse::Csr& m);
-std::int64_t DeviceCsrBytes(sparse::index_t rows, std::int64_t nnz);
-
-/// Allocates from `source` and copies the three arrays on `stream`.
-/// The host-side `m` must stay alive until the stream drains (the copies
-/// are eager in data but asynchronous in virtual time).
-StatusOr<DeviceCsr> UploadCsr(vgpu::Device& device, vgpu::HostContext& host,
-                              vgpu::Stream& stream,
-                              vgpu::DeviceMemorySource& source,
-                              const sparse::Csr& m, const std::string& label,
-                              bool pinned = true);
-
-/// Frees the panel through `source` (no-op for pools).
-void ReleaseCsr(vgpu::HostContext& host, vgpu::DeviceMemorySource& source,
-                DeviceCsr& m);
-
-/// Downloads a device CSR back into a host matrix (synchronous; used by
-/// tests and the in-core convenience path, not the pipelined executors).
-sparse::Csr DownloadCsr(vgpu::Device& device, vgpu::HostContext& host,
-                        const DeviceCsr& m);
 
 }  // namespace oocgemm::kernels

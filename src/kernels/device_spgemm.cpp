@@ -10,11 +10,9 @@
 
 namespace oocgemm::kernels {
 
-using sparse::Csr;
 using sparse::index_t;
 using sparse::offset_t;
 using sparse::value_t;
-using vgpu::DevicePtr;
 using vgpu::Region;
 
 ChunkPipeline::ChunkPipeline(vgpu::Device& device,
@@ -267,23 +265,6 @@ void ChunkPipeline::RunNumeric(vgpu::HostContext& host, vgpu::Stream& stream) {
   stage_ = 3;
 }
 
-DeviceSpgemm::DeviceSpgemm(vgpu::Device& device, DeviceSpgemmOptions options)
-    : device_(device), options_(std::move(options)) {}
-
-StatusOr<ChunkProduct> DeviceSpgemm::Multiply(vgpu::HostContext& host,
-                                              vgpu::Stream& stream,
-                                              const DeviceCsr& a_panel,
-                                              const DeviceCsr& b_panel,
-                                              vgpu::DeviceMemorySource& source,
-                                              const std::string& tag) {
-  ChunkPipeline pipeline(device_, options_, scratch_);
-  OOC_RETURN_IF_ERROR(
-      pipeline.RunAnalysis(host, stream, a_panel, b_panel, source, tag));
-  OOC_RETURN_IF_ERROR(pipeline.RunSymbolic(host, stream));
-  pipeline.RunNumeric(host, stream);
-  return pipeline.TakeProduct();
-}
-
 void ReleaseChunk(vgpu::HostContext& host, vgpu::DeviceMemorySource& source,
                   ChunkProduct& chunk) {
   source.Release(host, chunk.d_row_offsets);
@@ -293,59 +274,6 @@ void ReleaseChunk(vgpu::HostContext& host, vgpu::DeviceMemorySource& source,
   source.Release(host, chunk.d_scratch_row_nnz);
   chunk.d_row_offsets = chunk.d_col_ids = chunk.d_values = vgpu::DevicePtr{};
   chunk.d_scratch_row_flops = chunk.d_scratch_row_nnz = vgpu::DevicePtr{};
-}
-
-namespace {
-
-StatusOr<Csr> MultiplyInCoreOn(vgpu::Device& device, vgpu::Stream& stream,
-                               const Csr& a, const Csr& b,
-                               const DeviceSpgemmOptions& options) {
-  vgpu::HostContext host;
-  vgpu::MallocMemorySource source(device);
-
-  auto da = UploadCsr(device, host, stream, source, a, "A");
-  if (!da.ok()) return da.status();
-  auto db = UploadCsr(device, host, stream, source, b, "B");
-  if (!db.ok()) return db.status();
-
-  DeviceSpgemm engine(device, options);
-  auto chunk =
-      engine.Multiply(host, stream, da.value(), db.value(), source, "C");
-  if (!chunk.ok()) return chunk.status();
-
-  std::vector<index_t> cols(static_cast<std::size_t>(chunk->nnz));
-  std::vector<value_t> vals(static_cast<std::size_t>(chunk->nnz));
-  device.MemcpyD2HAsync(host, stream, cols.data(), chunk->d_col_ids,
-                        chunk->nnz * static_cast<std::int64_t>(sizeof(index_t)),
-                        "C.col_ids");
-  device.MemcpyD2HAsync(host, stream, vals.data(), chunk->d_values,
-                        chunk->nnz * static_cast<std::int64_t>(sizeof(value_t)),
-                        "C.values");
-  device.StreamSynchronize(host, stream);
-  if (Status health = device.health(); !health.ok()) {
-    ReleaseChunk(host, source, chunk.value());
-    ReleaseCsr(host, source, da.value());
-    ReleaseCsr(host, source, db.value());
-    return health;
-  }
-
-  Csr result(chunk->rows, chunk->cols, std::move(chunk->row_offsets),
-             std::move(cols), std::move(vals));
-
-  ReleaseChunk(host, source, chunk.value());
-  ReleaseCsr(host, source, da.value());
-  ReleaseCsr(host, source, db.value());
-  return result;
-}
-
-}  // namespace
-
-StatusOr<Csr> MultiplyInCore(vgpu::Device& device, const Csr& a, const Csr& b,
-                             DeviceSpgemmOptions options) {
-  vgpu::Stream* stream = device.CreateStream("incore");
-  StatusOr<Csr> result = MultiplyInCoreOn(device, *stream, a, b, options);
-  device.DestroyStream(stream);
-  return result;
 }
 
 }  // namespace oocgemm::kernels

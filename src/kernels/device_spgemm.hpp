@@ -111,36 +111,9 @@ class ChunkPipeline {
   int stage_ = 0;
 };
 
-class DeviceSpgemm {
- public:
-  explicit DeviceSpgemm(vgpu::Device& device, DeviceSpgemmOptions options = {});
-
-  /// Runs all three stages back to back on `stream` and returns the
-  /// device-resident chunk.  OOM from `source` propagates for re-planning.
-  StatusOr<ChunkProduct> Multiply(vgpu::HostContext& host, vgpu::Stream& stream,
-                                  const DeviceCsr& a_panel,
-                                  const DeviceCsr& b_panel,
-                                  vgpu::DeviceMemorySource& source,
-                                  const std::string& tag);
-
-  const DeviceSpgemmOptions& options() const { return options_; }
-  AccumulatorScratch& scratch() { return scratch_; }
-
- private:
-  vgpu::Device& device_;
-  DeviceSpgemmOptions options_;
-  AccumulatorScratch scratch_;
-};
-
 /// Releases every device buffer of `chunk` through `source` (no-op for
 /// pool sources, which recycle wholesale).
 void ReleaseChunk(vgpu::HostContext& host, vgpu::DeviceMemorySource& source,
                   ChunkProduct& chunk);
-
-/// Convenience for tests and small problems: uploads `a` and `b` whole,
-/// multiplies in-core, downloads the product, frees everything.
-StatusOr<sparse::Csr> MultiplyInCore(vgpu::Device& device, const sparse::Csr& a,
-                                     const sparse::Csr& b,
-                                     DeviceSpgemmOptions options = {});
 
 }  // namespace oocgemm::kernels

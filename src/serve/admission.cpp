@@ -38,20 +38,6 @@ void FillPlanDemand(
   }
 }
 
-/// Prices the demand's modeled latency at the model's rates (static rates
-/// when `model` is null).  The static reference uses the job's own cost
-/// model, so admission and execution agree on what "static" means.
-void FillExecSeconds(const core::ExecutorOptions& exec,
-                     const calibrate::CalibratedModel* model, JobDemand* d) {
-  const calibrate::ExecRates static_rates =
-      calibrate::StaticExecRates(exec.spgemm.cost_model);
-  const calibrate::ExecRates rates =
-      model != nullptr ? model->AdmissionRates(static_rates) : static_rates;
-  d->est_exec_seconds = calibrate::EstimateExecSeconds(
-      d->flops, common::SaturatingAdd(d->bytes_a, d->bytes_b),
-      d->est_bytes_out, d->gpu_feasible(), d->planned_chunks(), rates);
-}
-
 void RecordAnalysisSeconds(const char* mode, double seconds) {
   obs::MetricsRegistry::Default()
       .GetDoubleCounter(
@@ -86,8 +72,7 @@ bool ParseAdmissionMode(const std::string& text, AdmissionMode* mode) {
 
 JobDemand EstimateJobDemand(const sparse::Csr& a, const sparse::Csr& b,
                             std::int64_t device_capacity,
-                            const core::ExecutorOptions& exec,
-                            const calibrate::CalibratedModel* model) {
+                            const core::ExecutorOptions& exec) {
   WallTimer timer;
   JobDemand d;
   d.flops = sparse::TotalFlops(a, b);
@@ -108,7 +93,6 @@ JobDemand EstimateJobDemand(const sparse::Csr& a, const sparse::Csr& b,
   partition::PlanOptions plan_opts = exec.plan;
   plan_opts.use_sampling_estimator = false;
   FillPlanDemand(a, b, device_capacity, plan_opts, nullptr, &d);
-  FillExecSeconds(exec, model, &d);
   d.analysis_seconds = timer.Seconds();
   RecordAnalysisSeconds("exact", d.analysis_seconds);
   return d;
@@ -117,8 +101,7 @@ JobDemand EstimateJobDemand(const sparse::Csr& a, const sparse::Csr& b,
 JobDemand EstimateJobDemandSampled(const sparse::Csr& a, const sparse::Csr& b,
                                    std::int64_t device_capacity,
                                    const core::ExecutorOptions& exec,
-                                   const estimate::EstimatorOptions& opts,
-                                   const calibrate::CalibratedModel* model) {
+                                   const estimate::EstimatorOptions& opts) {
   WallTimer timer;
   auto est = std::make_shared<const estimate::ProductEstimate>(
       estimate::EstimateProduct(a, b, opts));
@@ -131,7 +114,7 @@ JobDemand EstimateJobDemandSampled(const sparse::Csr& a, const sparse::Csr& b,
                     "Estimate-mode admissions that fell back to the exact "
                     "path on the estimator's variance check")
         .Add(1);
-    JobDemand d = EstimateJobDemand(a, b, device_capacity, exec, model);
+    JobDemand d = EstimateJobDemand(a, b, device_capacity, exec);
     d.estimator_fallback = true;
     d.est_rel_stderr = est->rel_stderr;
     return d;
@@ -150,7 +133,6 @@ JobDemand EstimateJobDemandSampled(const sparse::Csr& a, const sparse::Csr& b,
   plan_opts.use_sampling_estimator = true;
   plan_opts.estimator_seed = opts.seed;
   FillPlanDemand(a, b, device_capacity, plan_opts, std::move(est), &d);
-  FillExecSeconds(exec, model, &d);
   d.analysis_seconds = timer.Seconds();
   RecordAnalysisSeconds("estimate", d.analysis_seconds);
   return d;
@@ -178,13 +160,6 @@ Status AdmissionController::Admit(const JobDemand& demand,
   if (NeedsDevice(mode) && !demand.gpu_feasible()) {
     return Status::FailedPrecondition(
         "job requires the device but no panel split fits its memory");
-  }
-  if (limits_.max_est_exec_seconds > 0.0 &&
-      demand.est_exec_seconds > limits_.max_est_exec_seconds) {
-    return Status::FailedPrecondition(
-        "job's modeled latency " + std::to_string(demand.est_exec_seconds) +
-        "s exceeds the " + std::to_string(limits_.max_est_exec_seconds) +
-        "s admission deadline");
   }
   if (demand.overflowed()) {
     // A byte product clamped at the int64 rail: the true footprint is

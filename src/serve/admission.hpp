@@ -23,7 +23,6 @@
 #include <mutex>
 #include <string>
 
-#include "calibrate/model.hpp"
 #include "common/saturating.hpp"
 #include "common/status.hpp"
 #include "core/executor_options.hpp"
@@ -96,21 +95,12 @@ struct JobDemand {
   /// Host wall seconds the demand analysis took (either path) — the
   /// quantity the estimate path is built to shrink.
   double analysis_seconds = 0.0;
-  /// Modeled execution latency of the job (calibrate::EstimateExecSeconds):
-  /// transfers plus compute plus launch overheads at the calibrated rates
-  /// when a model was supplied, the static rates otherwise.  The quantity
-  /// AdmissionLimits::max_est_exec_seconds gates on.
-  double est_exec_seconds = 0.0;
 };
 
-/// Runs the exact estimators; never touches the device.  `model` (may be
-/// null) supplies calibrated rates for the latency estimate; feeding a
-/// CalibratedModel::FromStatic model reproduces the null-model demand
-/// bit-for-bit (the differential harness's contract).
+/// Runs the exact estimators; never touches the device.
 JobDemand EstimateJobDemand(const sparse::Csr& a, const sparse::Csr& b,
                             std::int64_t device_capacity,
-                            const core::ExecutorOptions& exec,
-                            const calibrate::CalibratedModel* model = nullptr);
+                            const core::ExecutorOptions& exec);
 
 /// The estimate-mode path: prices the job from estimate::EstimateProduct
 /// and an estimate-seeded plan; falls back to EstimateJobDemand (setting
@@ -118,17 +108,11 @@ JobDemand EstimateJobDemand(const sparse::Csr& a, const sparse::Csr& b,
 JobDemand EstimateJobDemandSampled(const sparse::Csr& a, const sparse::Csr& b,
                                    std::int64_t device_capacity,
                                    const core::ExecutorOptions& exec,
-                                   const estimate::EstimatorOptions& opts,
-                                   const calibrate::CalibratedModel* model =
-                                       nullptr);
+                                   const estimate::EstimatorOptions& opts);
 
 struct AdmissionLimits {
   /// Ceiling on the summed host_bytes() of admitted, not-yet-finished jobs.
   std::int64_t host_bytes_budget = 4ll << 30;
-  /// Deadline gate on JobDemand::est_exec_seconds: jobs whose modeled
-  /// latency exceeds it are rejected with FAILED_PRECONDITION (waiting
-  /// cannot make the job faster).  0 disables the gate.
-  double max_est_exec_seconds = 0.0;
 };
 
 class AdmissionController {

@@ -2,15 +2,6 @@
 
 namespace oocgemm::serve {
 
-OperandFingerprint FingerprintOperand(const sparse::Csr& m) {
-  OperandFingerprint fp;
-  fp.storage = &m;
-  fp.rows = m.rows();
-  fp.cols = m.cols();
-  fp.nnz = m.nnz();
-  return fp;
-}
-
 bool BatchEligible(const ScheduledJob& item) {
   if (item.job.b == nullptr || item.job.a == nullptr) return false;
   if (!item.demand.gpu_feasible()) return false;
@@ -19,18 +10,13 @@ bool BatchEligible(const ScheduledJob& item) {
          mode == core::ExecutionMode::kGpuOutOfCore;
 }
 
-bool BatchableWith(const ScheduledJob& leader, const ScheduledJob& candidate) {
-  return BatchEligible(leader) && BatchEligible(candidate) &&
-         FingerprintOperand(*leader.job.b) ==
-             FingerprintOperand(*candidate.job.b);
-}
-
 std::vector<std::unique_ptr<ScheduledJob>> PeelBatchCompanions(
     const ScheduledJob& leader, JobQueue& queue, std::size_t max_companions) {
   if (max_companions == 0 || !BatchEligible(leader)) return {};
   return queue.ExtractIf(
       [&leader](const std::unique_ptr<ScheduledJob>& candidate) {
-        return candidate != nullptr && BatchableWith(leader, *candidate);
+        return candidate != nullptr && candidate->job.b == leader.job.b &&
+               BatchEligible(*candidate);
       },
       max_companions);
 }

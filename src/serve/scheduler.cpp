@@ -60,14 +60,6 @@ void Scheduler::Stop() {
   workers_.clear();
 }
 
-double Scheduler::VirtualNow() const {
-  std::unique_lock<std::mutex> lock(lanes_mutex_);
-  double now = 0.0;
-  for (double lane : gpu_lanes_) now = std::max(now, lane);
-  for (double lane : cpu_lanes_) now = std::max(now, lane);
-  return now;
-}
-
 std::vector<double> Scheduler::GpuLaneBusySeconds() const {
   std::unique_lock<std::mutex> lock(lanes_mutex_);
   return gpu_busy_;
@@ -145,6 +137,9 @@ void Scheduler::FinishJob(ScheduledJob& item, JobResult result) {
   result.metrics.tenant = item.job.options.tenant;
   stats_.RecordOutcome(result.metrics);
   item.done(std::move(result));
+  // The calibrator has no thread of its own: a finishing worker ticks it
+  // once its interval has passed.
+  if (calibrator_ != nullptr) calibrator_->MaybeTick();
 }
 
 bool Scheduler::FinishIfExpiredInQueue(ScheduledJob& item) {

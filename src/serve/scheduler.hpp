@@ -113,17 +113,16 @@ class Scheduler {
   /// Closes the queue, lets workers drain every queued job, joins.
   void Stop();
 
-  /// The server's cost-model calibrator (may be null).  In apply mode the
-  /// dispatch path overrides each job's hybrid split and kernel-routing
-  /// scales with the dispatched device's fitted state.  Set before Start().
+  /// The server's cost-model calibrator (may be null).  Workers tick it on
+  /// the completion path (MaybeTick).  In apply mode the dispatch path
+  /// overrides each job's hybrid split and kernel-routing scales with the
+  /// dispatched device's fitted state.  Set before Start().
   void set_calibrator(calibrate::CostModelCalibrator* calibrator) {
     calibrator_ = calibrator;
   }
 
   core::DevicePool& device_pool() { return devices_; }
   const core::DevicePool& device_pool() const { return devices_; }
-  /// Current frontier of the booking timeline (max over lanes).
-  double VirtualNow() const;
   /// Cumulative booked virtual seconds of each device lane (utilization
   /// numerator of the per-device report sections).
   std::vector<double> GpuLaneBusySeconds() const;
@@ -138,7 +137,8 @@ class Scheduler {
   /// True when the job's deadline passed while it was still queued;
   /// finishes it with the not-executed marker when so.
   bool FinishIfExpiredInQueue(ScheduledJob& item);
-  /// Completes a job: releases admission, records stats, calls its `done`.
+  /// Completes a job: releases admission, records stats, calls its `done`,
+  /// then runs a calibrator tick if one is due.
   void FinishJob(ScheduledJob& item, JobResult result);
   StatusOr<core::RunResult> Dispatch(core::ExecutionMode mode,
                                      const ScheduledJob& item,

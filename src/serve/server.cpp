@@ -111,18 +111,13 @@ void SpgemmServer::Submit(SpgemmJob job,
   }
 
   const bool use_estimate = config_.admission_mode == AdmissionMode::kEstimate;
-  // In apply mode admission prices latency at the fitted rates; observe
-  // mode keeps the static estimate (apply_model() is null there).
-  std::shared_ptr<const calibrate::CalibratedModel> model =
-      calibrator_ != nullptr ? calibrator_->apply_model() : nullptr;
   JobDemand demand =
       use_estimate
           ? EstimateJobDemandSampled(*job.a, *job.b,
                                      devices_.max_device_capacity(),
-                                     job.options.exec, config_.estimator,
-                                     model.get())
+                                     job.options.exec, config_.estimator)
           : EstimateJobDemand(*job.a, *job.b, devices_.max_device_capacity(),
-                              job.options.exec, model.get());
+                              job.options.exec);
   obs::MetricsRegistry::Default()
       .GetCounter("oocgemm_estimate_admissions_total",
                   {{"mode", demand.estimated ? "estimate" : "exact"}},

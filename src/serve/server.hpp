@@ -71,9 +71,10 @@ struct ServerConfig {
 
   /// Closed-loop cost-model calibration (`--calibrate`): kOff = no
   /// calibrator; kObserve = fit live rates and export oocgemm_calibrate_*
-  /// metrics but keep every decision static; kApply = admission latency
-  /// estimates, hybrid split, placement tie-breaks and kernel routing all
-  /// consume the fitted model.
+  /// metrics but keep every decision static; kApply = hybrid split,
+  /// placement tie-breaks and kernel routing all consume the fitted model.
+  /// Ticks run on the scheduler workers' completion path, so the server
+  /// starts no thread for it.
   calibrate::CalibratorConfig calibrate;
 };
 

@@ -54,10 +54,10 @@ ServerStats::ServerStats() {
 
 void ServerStats::RecordSubmitted(const std::string& tenant) {
   std::unique_lock<std::mutex> lock(mutex_);
-  ++submitted_;
+  ++report_.submitted;
   metrics_.submitted->Add(1);
   if (!tenant.empty()) {
-    ++tenant_submitted_[tenant];
+    ++TenantLocked(tenant).submitted;
     // Labeled live mirror; the registry escapes the tenant id on export.
     obs::MetricsRegistry::Default()
         .GetCounter("oocgemm_serve_tenant_submitted", {{"tenant", tenant}},
@@ -66,135 +66,133 @@ void ServerStats::RecordSubmitted(const std::string& tenant) {
   }
 }
 
-void ServerStats::RecordOutcome(const JobMetrics& metrics) {
+void ServerStats::RecordOutcome(const JobMetrics& m) {
   std::unique_lock<std::mutex> lock(mutex_);
-  finished_.push_back(metrics);
-  if (metrics.failovers > 0) metrics_.failovers->Add(metrics.failovers);
-  switch (metrics.outcome) {
-    case JobOutcome::kCompleted:
+  ServerReport& r = report_;
+  r.retries += std::max(0, m.attempts - 1);
+  r.failed_over += m.failovers;
+  if (m.device_oom) ++r.device_oom_failures;
+  if (m.failovers > 0) metrics_.failovers->Add(m.failovers);
+  TenantServeReport* tenant =
+      m.tenant.empty() ? nullptr : &TenantLocked(m.tenant);
+  switch (m.outcome) {
+    case JobOutcome::kCompleted: {
+      if (r.completed == 0 || m.virtual_arrival < min_arrival_) {
+        min_arrival_ = m.virtual_arrival;
+      }
+      if (r.completed == 0 || m.virtual_finish > max_finish_) {
+        max_finish_ = m.virtual_finish;
+      }
+      ++r.completed;
+      if (tenant != nullptr) ++tenant->completed;
+      if (m.devices_used > 1) ++r.via_multi_device;
+      if (m.device_index >= 0) ++DeviceLocked(m.device_index).completed;
+      latencies_.push_back(m.latency_seconds);
+      queue_waits_.push_back(m.queue_seconds);
+      flops_ += static_cast<double>(m.stats.flops);
+      r.b_panel_uploads += m.stats.b_panel_uploads;
+      r.b_panel_hits += m.stats.b_panel_hits;
+      r.transfer_bytes_h2d += m.stats.bytes_h2d;
+      r.transfer_bytes_d2h += m.stats.bytes_d2h;
+      switch (m.executor) {
+        case core::ExecutionMode::kCpuOnly: ++r.via_cpu; break;
+        case core::ExecutionMode::kHybrid: ++r.via_hybrid; break;
+        default: ++r.via_gpu; break;
+      }
       metrics_.completed->Add(1);
-      metrics_.h2d_bytes->Add(metrics.stats.bytes_h2d);
-      metrics_.d2h_bytes->Add(metrics.stats.bytes_d2h);
-      metrics_.flops->Add(metrics.stats.flops);
-      metrics_.latency->Record(metrics.latency_seconds);
-      metrics_.queue_wait->Record(metrics.queue_seconds);
+      metrics_.h2d_bytes->Add(m.stats.bytes_h2d);
+      metrics_.d2h_bytes->Add(m.stats.bytes_d2h);
+      metrics_.flops->Add(m.stats.flops);
+      metrics_.latency->Record(m.latency_seconds);
+      metrics_.queue_wait->Record(m.queue_seconds);
       break;
-    case JobOutcome::kRejected: metrics_.rejected->Add(1); break;
-    case JobOutcome::kTimedOut: metrics_.timed_out->Add(1); break;
-    case JobOutcome::kFailed: metrics_.failed->Add(1); break;
+    }
+    case JobOutcome::kRejected:
+      ++r.rejected;
+      if (tenant != nullptr) ++tenant->rejected;
+      metrics_.rejected->Add(1);
+      break;
+    case JobOutcome::kTimedOut:
+      ++r.timed_out;
+      if (!m.executed) ++r.timed_out_in_queue;
+      if (tenant != nullptr) ++tenant->timed_out;
+      metrics_.timed_out->Add(1);
+      break;
+    case JobOutcome::kFailed:
+      ++r.failed;
+      if (tenant != nullptr) ++tenant->failed;
+      metrics_.failed->Add(1);
+      break;
   }
+}
+
+void ServerStats::RecordBatch(std::int64_t members) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  ++report_.batches;
+  report_.batched_jobs += members;
+  metrics_.batches->Add(1);
+  metrics_.batched_jobs->Add(members);
+  metrics_.batch_size->Record(static_cast<double>(members));
+}
+
+void ServerStats::RecordBatchFallback() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  ++report_.batch_fallbacks;
+  metrics_.batch_fallbacks->Add(1);
+}
+
+void ServerStats::RecordDeviceFailure(int index) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  ++report_.device_failures;
+  metrics_.device_failures->Add(1);
+  if (index >= 0) ++DeviceLocked(index).failures;
+}
+
+DeviceServeReport& ServerStats::DeviceLocked(int index) {
+  std::vector<DeviceServeReport>& devices = report_.devices;
+  while (devices.size() <= static_cast<std::size_t>(index)) {
+    DeviceServeReport section;
+    section.index = static_cast<int>(devices.size());
+    devices.push_back(section);
+  }
+  return devices[static_cast<std::size_t>(index)];
+}
+
+TenantServeReport& ServerStats::TenantLocked(const std::string& tenant) {
+  std::vector<TenantServeReport>& tenants = report_.tenants;
+  auto it = std::lower_bound(
+      tenants.begin(), tenants.end(), tenant,
+      [](const TenantServeReport& t, const std::string& name) {
+        return t.tenant < name;
+      });
+  if (it == tenants.end() || it->tenant != tenant) {
+    it = tenants.insert(it, TenantServeReport{});
+    it->tenant = tenant;
+  }
+  return *it;
 }
 
 ServerReport ServerStats::Snapshot() const {
   std::unique_lock<std::mutex> lock(mutex_);
-  ServerReport r;
-  r.submitted = submitted_;
-  r.batches = batches_;
-  r.batched_jobs = batched_jobs_;
-  r.batch_fallbacks = batch_fallbacks_;
-  if (batches_ > 0) {
+  ServerReport r = report_;
+  if (r.batches > 0) {
     r.avg_batch_size =
-        static_cast<double>(batched_jobs_) / static_cast<double>(batches_);
+        static_cast<double>(r.batched_jobs) / static_cast<double>(r.batches);
   }
-
-  std::vector<double> latencies, queue_waits;
-  double min_arrival = 0.0, max_finish = 0.0;
-  double flops = 0.0;
-  bool any_completed = false;
-  for (const JobMetrics& m : finished_) {
-    r.retries += std::max(0, m.attempts - 1);
-    r.failed_over += m.failovers;
-    if (m.device_oom) ++r.device_oom_failures;
-    switch (m.outcome) {
-      case JobOutcome::kCompleted: {
-        ++r.completed;
-        if (m.devices_used > 1) ++r.via_multi_device;
-        if (m.device_index >= 0) {
-          if (static_cast<std::size_t>(m.device_index) >= r.devices.size()) {
-            r.devices.resize(static_cast<std::size_t>(m.device_index) + 1);
-            for (std::size_t d = 0; d < r.devices.size(); ++d) {
-              r.devices[d].index = static_cast<int>(d);
-            }
-          }
-          ++r.devices[static_cast<std::size_t>(m.device_index)].completed;
-        }
-        latencies.push_back(m.latency_seconds);
-        queue_waits.push_back(m.queue_seconds);
-        flops += static_cast<double>(m.stats.flops);
-        r.b_panel_uploads += m.stats.b_panel_uploads;
-        r.b_panel_hits += m.stats.b_panel_hits;
-        r.transfer_bytes_h2d += m.stats.bytes_h2d;
-        r.transfer_bytes_d2h += m.stats.bytes_d2h;
-        if (!any_completed || m.virtual_arrival < min_arrival) {
-          min_arrival = m.virtual_arrival;
-        }
-        if (!any_completed || m.virtual_finish > max_finish) {
-          max_finish = m.virtual_finish;
-        }
-        any_completed = true;
-        switch (m.executor) {
-          case core::ExecutionMode::kCpuOnly: ++r.via_cpu; break;
-          case core::ExecutionMode::kHybrid: ++r.via_hybrid; break;
-          default: ++r.via_gpu; break;
-        }
-        break;
-      }
-      case JobOutcome::kRejected: ++r.rejected; break;
-      case JobOutcome::kTimedOut:
-        ++r.timed_out;
-        if (!m.executed) ++r.timed_out_in_queue;
-        break;
-      case JobOutcome::kFailed: ++r.failed; break;
-    }
-  }
-
-  r.device_failures = device_failures_;
-  if (r.devices.size() < device_failure_counts_.size()) {
-    const std::size_t old = r.devices.size();
-    r.devices.resize(device_failure_counts_.size());
-    for (std::size_t d = old; d < r.devices.size(); ++d) {
-      r.devices[d].index = static_cast<int>(d);
-    }
-  }
-  for (std::size_t d = 0; d < device_failure_counts_.size(); ++d) {
-    r.devices[d].failures = device_failure_counts_[d];
-  }
-
-  if (any_completed) {
-    r.virtual_makespan_seconds = max_finish - min_arrival;
+  if (r.completed > 0) {
+    r.virtual_makespan_seconds = max_finish_ - min_arrival_;
     if (r.virtual_makespan_seconds > 0.0) {
       r.jobs_per_second =
           static_cast<double>(r.completed) / r.virtual_makespan_seconds;
-      r.total_gflops = flops / r.virtual_makespan_seconds / 1e9;
+      r.total_gflops = flops_ / r.virtual_makespan_seconds / 1e9;
     }
   }
-  {
-    std::map<std::string, TenantServeReport> tenants;
-    for (const auto& [tenant, count] : tenant_submitted_) {
-      TenantServeReport& t = tenants[tenant];
-      t.tenant = tenant;
-      t.submitted = count;
-    }
-    for (const JobMetrics& m : finished_) {
-      if (m.tenant.empty()) continue;
-      TenantServeReport& t = tenants[m.tenant];
-      t.tenant = m.tenant;
-      switch (m.outcome) {
-        case JobOutcome::kCompleted: ++t.completed; break;
-        case JobOutcome::kRejected: ++t.rejected; break;
-        case JobOutcome::kTimedOut: ++t.timed_out; break;
-        case JobOutcome::kFailed: ++t.failed; break;
-      }
-    }
-    for (auto& [tenant, t] : tenants) r.tenants.push_back(std::move(t));
-  }
-
-  Summary lat = Summarize(latencies);
+  Summary lat = Summarize(latencies_);
   r.latency_p50 = lat.p50;
   r.latency_p95 = lat.p95;
   r.latency_p99 = lat.p99;
   r.latency_mean = lat.mean;
-  r.queue_p95 = Summarize(queue_waits).p95;
+  r.queue_p95 = Summarize(queue_waits_).p95;
   if (r.submitted > 0) {
     r.rejection_rate =
         static_cast<double>(r.rejected) / static_cast<double>(r.submitted);

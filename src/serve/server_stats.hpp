@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -123,40 +122,21 @@ struct ServerReport {
   std::string DebugString() const;
 };
 
+/// Folds each outcome into running totals as it is recorded, so memory
+/// grows with the completed jobs' latency samples alone, not with a log of
+/// every job.  Thread-safe.
 class ServerStats {
  public:
   ServerStats();
 
   void RecordSubmitted(const std::string& tenant = std::string());
   void RecordOutcome(const JobMetrics& metrics);
-
   /// A multi-job device run was dispatched with `members` jobs.
-  void RecordBatch(std::int64_t members) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    ++batches_;
-    batched_jobs_ += members;
-    metrics_.batches->Add(1);
-    metrics_.batched_jobs->Add(members);
-    metrics_.batch_size->Record(static_cast<double>(members));
-  }
+  void RecordBatch(std::int64_t members);
   /// A batch failed as a whole and its members re-ran individually.
-  void RecordBatchFallback() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    ++batch_fallbacks_;
-    metrics_.batch_fallbacks->Add(1);
-  }
+  void RecordBatchFallback();
   /// The scheduler found pool device `index` dead mid-run and pulled it.
-  void RecordDeviceFailure(int index) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    ++device_failures_;
-    metrics_.device_failures->Add(1);
-    if (index >= 0) {
-      if (static_cast<std::size_t>(index) >= device_failure_counts_.size()) {
-        device_failure_counts_.resize(static_cast<std::size_t>(index) + 1, 0);
-      }
-      ++device_failure_counts_[static_cast<std::size_t>(index)];
-    }
-  }
+  void RecordDeviceFailure(int index);
 
   ServerReport Snapshot() const;
 
@@ -184,16 +164,26 @@ class ServerStats {
   };
   Metrics metrics_;
 
+  /// Requires mutex_ held.  Device section `index`, appending sections up
+  /// to it.
+  DeviceServeReport& DeviceLocked(int index);
+  /// Requires mutex_ held.  The section of `tenant`, inserted in name
+  /// order when new.
+  TenantServeReport& TenantLocked(const std::string& tenant);
+
   mutable std::mutex mutex_;
-  std::int64_t submitted_ = 0;
-  std::int64_t batches_ = 0;
-  std::int64_t batched_jobs_ = 0;
-  std::int64_t batch_fallbacks_ = 0;
-  std::int64_t device_failures_ = 0;
-  std::vector<std::int64_t> device_failure_counts_;
-  /// Submissions per non-empty tenant id (outcomes come from finished_).
-  std::map<std::string, std::int64_t> tenant_submitted_;
-  std::vector<JobMetrics> finished_;
+  /// Every count and sum of the report; Snapshot() adds the rates and
+  /// percentiles derived from them and from the fields below.
+  ServerReport report_;
+  /// Completed jobs' virtual latency and queue wait, in completion order:
+  /// the exact percentiles need every sample.
+  std::vector<double> latencies_;
+  std::vector<double> queue_waits_;
+  /// Completed jobs' summed flops and virtual span [min arrival, max
+  /// finish].
+  double flops_ = 0.0;
+  double min_arrival_ = 0.0;
+  double max_finish_ = 0.0;
 };
 
 }  // namespace oocgemm::serve

@@ -152,7 +152,7 @@ void Device::SerializeDevice(HostContext& host, double overhead,
 
 void Device::CheckHazards(const std::string& label, const Interval& interval,
                           const std::vector<Region>& regions) {
-  if (!hazard_checking_ || regions.empty()) return;
+  if (regions.empty()) return;
   for (const auto& past : hazard_history_) {
     if (!past.interval.Overlaps(interval)) continue;
     for (const auto& r : regions) {

@@ -142,22 +142,6 @@ class Device {
   std::int64_t capacity() const { return allocator_.capacity(); }
   std::int64_t free_bytes() const { return allocator_.free_bytes(); }
 
-  /// Live memory headroom in one consistent snapshot — what an admission
-  /// controller needs to decide whether another job's working set fits.
-  /// `largest_block` bounds the biggest single allocation that can succeed
-  /// right now (free_bytes alone overstates it under fragmentation).
-  struct MemoryHeadroom {
-    std::int64_t capacity = 0;
-    std::int64_t used = 0;
-    std::int64_t free = 0;
-    std::int64_t largest_block = 0;
-  };
-  MemoryHeadroom Headroom() const {
-    return MemoryHeadroom{allocator_.capacity(), allocator_.used_bytes(),
-                          allocator_.free_bytes(),
-                          allocator_.largest_free_block()};
-  }
-
   // --- streams & synchronization -------------------------------------------
 
   /// Creates a stream; the Device owns it and the pointer stays valid until
@@ -253,7 +237,6 @@ class Device {
   Trace& trace() { return trace_; }
   const Trace& trace() const { return trace_; }
 
-  void set_hazard_checking(bool enabled) { hazard_checking_ = enabled; }
   /// Descriptions of detected read/write races (empty == clean run).
   const std::vector<std::string>& hazard_violations() const {
     return hazard_violations_;
@@ -322,7 +305,6 @@ class Device {
   Status fault_status_;  // transient sticky error (clears on ResetTimeline)
   Status dead_status_;   // device lost (clears only on Revive)
 
-  bool hazard_checking_ = true;
   struct HazardRecord {
     Interval interval;
     std::vector<Region> regions;

@@ -1,9 +1,9 @@
 // The differential harness: every decision point the calibrator can steer
-// — admission latency pricing, the Admit verdict, hybrid split, kernel
-// routing, placement hints — must reproduce the static decision
-// bit-for-bit when the model carries exactly the static constants
-// (CalibratedModel::FromStatic), and must keep the static decision while
-// the confidence gate holds (an uncalibrated or under-sampled model).
+// — hybrid split, kernel routing, placement hints — must reproduce the
+// static decision bit-for-bit when the model carries exactly the static
+// constants (CalibratedModel::FromStatic), and must keep the static
+// decision while the confidence gate holds (an uncalibrated or
+// under-sampled model).
 // Calibration may only change behaviour when a fit diverged AND passed
 // the gate.
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include "core/executors.hpp"
 #include "kernels/binning.hpp"
 #include "kernels/kernel_registry.hpp"
-#include "serve/admission.hpp"
 #include "test_util.hpp"
 #include "vgpu/device.hpp"
 
@@ -26,72 +25,6 @@ namespace oocgemm::calibrate {
 namespace {
 
 using sparse::Csr;
-
-void ExpectDemandsIdentical(const serve::JobDemand& s,
-                            const serve::JobDemand& c) {
-  EXPECT_EQ(s.flops, c.flops);
-  EXPECT_EQ(s.est_nnz_out, c.est_nnz_out);
-  EXPECT_EQ(s.bytes_a, c.bytes_a);
-  EXPECT_EQ(s.bytes_b, c.bytes_b);
-  EXPECT_EQ(s.est_bytes_out, c.est_bytes_out);
-  EXPECT_EQ(s.gpu_feasible(), c.gpu_feasible());
-  EXPECT_EQ(s.planned_chunks(), c.planned_chunks());
-  EXPECT_EQ(s.planned_device_bytes(), c.planned_device_bytes());
-  EXPECT_EQ(s.est_exec_seconds, c.est_exec_seconds);  // bitwise
-}
-
-TEST(CalibrateDifferential, FromStaticAdmissionDemandIsBitIdentical) {
-  const Csr a = testutil::RandomRmat(7, 6.0, 21);
-  const Csr small = testutil::RandomCsr(64, 64, 4.0, 22);
-  const std::int64_t capacity =
-      vgpu::ScaledV100Properties(15).memory_bytes;
-  core::ExecutorOptions exec;
-  const CalibratedModel model =
-      CalibratedModel::FromStatic(2, exec.gpu_ratio);
-
-  for (const Csr* m : {&a, &small}) {
-    const serve::JobDemand s =
-        serve::EstimateJobDemand(*m, *m, capacity, exec, nullptr);
-    const serve::JobDemand c =
-        serve::EstimateJobDemand(*m, *m, capacity, exec, &model);
-    ExpectDemandsIdentical(s, c);
-  }
-
-  estimate::EstimatorOptions est_opts;
-  est_opts.seed = 5;
-  const serve::JobDemand s = serve::EstimateJobDemandSampled(
-      a, a, capacity, exec, est_opts, nullptr);
-  const serve::JobDemand c = serve::EstimateJobDemandSampled(
-      a, a, capacity, exec, est_opts, &model);
-  ExpectDemandsIdentical(s, c);
-  EXPECT_EQ(s.estimated, c.estimated);
-}
-
-TEST(CalibrateDifferential, FromStaticAdmitVerdictsMatchStatic) {
-  const Csr a = testutil::RandomRmat(7, 6.0, 33);
-  const std::int64_t capacity =
-      vgpu::ScaledV100Properties(15).memory_bytes;
-  core::ExecutorOptions exec;
-  const CalibratedModel model =
-      CalibratedModel::FromStatic(1, exec.gpu_ratio);
-  const serve::JobDemand ds =
-      serve::EstimateJobDemand(a, a, capacity, exec, nullptr);
-  const serve::JobDemand dc =
-      serve::EstimateJobDemand(a, a, capacity, exec, &model);
-
-  // Sweep deadline gates bracketing the modeled latency: each verdict —
-  // admit or FAILED_PRECONDITION — must agree because the priced latency
-  // is bit-identical.
-  for (const double gate : {0.0, ds.est_exec_seconds * 0.5,
-                            ds.est_exec_seconds, ds.est_exec_seconds * 2.0}) {
-    serve::AdmissionLimits limits;
-    limits.max_est_exec_seconds = gate;
-    serve::AdmissionController stat(limits), calib(limits);
-    const Status vs = stat.Admit(ds, core::ExecutionMode::kAuto);
-    const Status vc = calib.Admit(dc, core::ExecutionMode::kAuto);
-    EXPECT_EQ(vs.code(), vc.code()) << "gate " << gate;
-  }
-}
 
 TEST(CalibrateDifferential, FromStaticHybridRatioIsVerbatim) {
   for (const double ratio : {0.1, 0.5, 0.67, 0.9}) {
@@ -153,17 +86,6 @@ TEST(CalibrateDifferential, FromStaticRoutingDecisionsMatchStatic) {
   }
 }
 
-TEST(CalibrateDifferential, FromStaticAdmissionRatesAreStaticBitwise) {
-  const ExecRates s = StaticExecRates();
-  const CalibratedModel model = CalibratedModel::FromStatic(2, 0.67, s);
-  const ExecRates r = model.AdmissionRates(s);
-  EXPECT_EQ(r.h2d_bandwidth, s.h2d_bandwidth);
-  EXPECT_EQ(r.d2h_bandwidth, s.d2h_bandwidth);
-  EXPECT_EQ(r.gpu_flop_rate, s.gpu_flop_rate);
-  EXPECT_EQ(r.cpu_flop_rate, s.cpu_flop_rate);
-  EXPECT_EQ(r.kernel_launch_overhead, s.kernel_launch_overhead);
-}
-
 TEST(CalibrateDifferential, UncalibratedModelKeepsStaticDecisions) {
   // A calibrator that never saw traffic publishes a model whose every hook
   // degrades to static.
@@ -182,10 +104,6 @@ TEST(CalibrateDifferential, UncalibratedModelKeepsStaticDecisions) {
   EXPECT_EQ(model->RouteScalesFor(0).compute_scale, 1.0);
   EXPECT_EQ(model->RouteScalesFor(0).overhead_scale, 1.0);
   EXPECT_EQ(model->RateHintFor(0), 0.0);
-  const ExecRates s = StaticExecRates();
-  const ExecRates r = model->AdmissionRates(s);
-  EXPECT_EQ(r.gpu_flop_rate, s.gpu_flop_rate);
-  EXPECT_EQ(r.cpu_flop_rate, s.cpu_flop_rate);
 }
 
 TEST(CalibrateDifferential, BelowThresholdGateHoldsUnderRealTraffic) {
@@ -212,14 +130,6 @@ TEST(CalibrateDifferential, BelowThresholdGateHoldsUnderRealTraffic) {
   EXPECT_EQ(model->GpuRatioFor(0, 0.67), 0.67);
   EXPECT_EQ(model->RouteScalesFor(0).compute_scale, 1.0);
   EXPECT_EQ(pool.rate_hint(0), 0.0);
-
-  const std::int64_t capacity = d0.properties().memory_bytes;
-  core::ExecutorOptions exec;
-  const serve::JobDemand ds =
-      serve::EstimateJobDemand(a, a, capacity, exec, nullptr);
-  const serve::JobDemand dc =
-      serve::EstimateJobDemand(a, a, capacity, exec, model.get());
-  EXPECT_EQ(ds.est_exec_seconds, dc.est_exec_seconds);  // bitwise
 }
 
 TEST(CalibrateDifferential, ZeroHintsPreservePlacementOrder) {

@@ -7,9 +7,11 @@
 // model.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "calibrate/calibrator.hpp"
@@ -159,6 +161,33 @@ TEST(CalibrateFeedback, ServerWiresCalibratorEndToEnd) {
   EXPECT_GE(server.calibrator()->ticks(), 3);
   EXPECT_NE(server.calibrator()->model(), nullptr);
   server.Shutdown();
+}
+
+// Completion-path ticks: MaybeTick runs nothing before Start() or before
+// the interval has passed, then exactly one of several concurrent callers
+// runs the due tick; Stop runs the final tick once.
+TEST(CalibrateFeedback, DueTickRunsOnceAmongConcurrentCallers) {
+  vgpu::Device d0(vgpu::ScaledV100Properties(15));
+  core::DevicePool pool({&d0});
+  CalibratorConfig config;
+  config.mode = CalibrateMode::kObserve;
+  config.interval_seconds = 0.05;
+  CostModelCalibrator calibrator(config, &pool);
+  calibrator.MaybeTick();
+  EXPECT_EQ(calibrator.ticks(), 0);
+
+  calibrator.Start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  std::vector<std::thread> callers;
+  for (int i = 0; i < 4; ++i) {
+    callers.emplace_back([&calibrator] { calibrator.MaybeTick(); });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(calibrator.ticks(), 1);
+
+  calibrator.Stop();
+  calibrator.Stop();
+  EXPECT_EQ(calibrator.ticks(), 2);
 }
 
 }  // namespace

@@ -14,8 +14,8 @@ namespace {
 
 TEST(FleetPlacement, SameContentDifferentAllocationsSameKey) {
   // Two independent generations from the same seed: identical content,
-  // different heap buffers — the restart scenario.  A pointer-identity
-  // fingerprint (serve::OperandFingerprint) would separate these.
+  // different heap buffers — the restart scenario.  The batch former's
+  // pointer match (serve::PeelBatchCompanions) would separate these.
   const sparse::Csr m1 = testutil::RandomRmat(7, 6.0, 42);
   const sparse::Csr m2 = testutil::RandomRmat(7, 6.0, 42);
   ASSERT_NE(m1.col_ids().data(), m2.col_ids().data());

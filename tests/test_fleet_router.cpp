@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <filesystem>
 #include <future>
 #include <memory>
 #include <thread>
@@ -48,26 +47,6 @@ serve::SpgemmJob MakeJob(std::shared_ptr<const Csr> a,
   job.b = std::move(b);
   job.options.mode = mode;
   return job;
-}
-
-/// Threads of this process, read once two reads a millisecond apart agree
-/// (a thread joined just before may linger in the list for an instant).
-int SettledThreadCount() {
-  auto count = [] {
-    int n = 0;
-    for (const auto& task :
-         std::filesystem::directory_iterator("/proc/self/task")) {
-      (void)task;
-      ++n;
-    }
-    return n;
-  };
-  for (int n = count();;) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    const int again = count();
-    if (again == n) return n;
-    n = again;
-  }
 }
 
 TEST(FleetRouter, AffinityConcentratesSameOperandOnOneShard) {
@@ -270,14 +249,14 @@ TEST(FleetRouter, StartsOnlyItsShardsWorkerThreads) {
   FleetConfig config;
   config.shard.scheduler.num_workers = 2;
   {
-    const int before = SettledThreadCount();
+    const int before = testutil::SettledThreadCount();
     serve::SpgemmServer server(fleet.shards[0], pool, config.shard);
-    EXPECT_EQ(SettledThreadCount() - before, 2);
+    EXPECT_EQ(testutil::SettledThreadCount() - before, 2);
   }
   {
-    const int before = SettledThreadCount();
+    const int before = testutil::SettledThreadCount();
     FleetRouter router(fleet.shards, pool, config);
-    EXPECT_EQ(SettledThreadCount() - before, 3 * 2);
+    EXPECT_EQ(testutil::SettledThreadCount() - before, 3 * 2);
   }
 }
 

@@ -5,7 +5,6 @@
 #include "serve/admission.hpp"
 #include "sparse/analysis.hpp"
 #include "test_util.hpp"
-#include "vgpu/device.hpp"
 
 namespace oocgemm::serve {
 namespace {
@@ -137,23 +136,6 @@ TEST(JobDemandSampled, UnreliableSampleFallsBackToExact) {
   EXPECT_EQ(d.flops, sparse::TotalFlops(a, a));  // exact pricing
   ASSERT_NE(d.plan, nullptr);
   EXPECT_EQ(d.plan->estimate, nullptr);  // an exact plan
-}
-
-TEST(DeviceHeadroom, SnapshotTracksAllocations) {
-  vgpu::Device device(vgpu::ScaledV100Properties(14));
-  auto before = device.Headroom();
-  EXPECT_EQ(before.used, 0);
-  EXPECT_EQ(before.free, before.capacity);
-  EXPECT_EQ(before.largest_block, before.capacity);
-
-  vgpu::HostContext host;
-  auto ptr = device.Malloc(host, 4096, "test");
-  ASSERT_TRUE(ptr.ok());
-  auto during = device.Headroom();
-  EXPECT_GE(during.used, 4096);
-  EXPECT_LT(during.largest_block, before.largest_block);
-  device.Free(host, ptr.value());
-  EXPECT_EQ(device.Headroom().used, 0);
 }
 
 }  // namespace

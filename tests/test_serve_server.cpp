@@ -1,11 +1,14 @@
 // End-to-end serving runtime tests: the concurrent-jobs oracle, admission
-// rejection, timeout deadlines, and scheduler-level retry-with-replan.
+// rejection, timeout deadlines, scheduler-level retry-with-replan, and the
+// threads a server starts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "kernels/reference_spgemm.hpp"
@@ -277,6 +280,34 @@ TEST(SpgemmServer, TenantSectionsEscapeHostileIds) {
             std::count(json.begin(), json.end(), '}'));
   EXPECT_EQ(std::count(json.begin(), json.end(), '['),
             std::count(json.begin(), json.end(), ']'));
+}
+
+// The calibrator owns no thread: whatever the mode, a server starts only
+// its workers, and a worker that finishes a job once the interval has
+// passed runs the tick.
+TEST(SpgemmServer, StartsOnlyItsWorkersWhenCalibrating) {
+  vgpu::Device device(vgpu::ScaledV100Properties(14));
+  ThreadPool pool(2);
+  auto m = Shared(testutil::RandomCsr(32, 32, 2.0, 8));
+  for (const calibrate::CalibrateMode mode :
+       {calibrate::CalibrateMode::kOff, calibrate::CalibrateMode::kObserve,
+        calibrate::CalibrateMode::kApply}) {
+    ServerConfig config;
+    config.scheduler.num_workers = 3;
+    config.calibrate.mode = mode;
+    config.calibrate.interval_seconds = 0.05;
+    const int before = testutil::SettledThreadCount();
+    SpgemmServer server(device, pool, config);
+    EXPECT_EQ(testutil::SettledThreadCount() - before, 3)
+        << calibrate::CalibrateModeName(mode);
+    if (mode != calibrate::CalibrateMode::kApply) continue;
+
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    ASSERT_TRUE(server.Submit({m, m, {}}).get().ok());
+    server.Shutdown();
+    // The completion-path tick, then the final one in Shutdown.
+    EXPECT_GE(server.calibrator()->ticks(), 2);
+  }
 }
 
 }  // namespace

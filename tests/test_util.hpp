@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <filesystem>
+#include <thread>
 #include <vector>
 
 #include "sparse/csr.hpp"
@@ -87,6 +90,26 @@ inline ::testing::AssertionResult CsrNear(const sparse::Csr& actual,
     return ::testing::AssertionFailure() << "values mismatch";
   }
   return ::testing::AssertionSuccess();
+}
+
+/// Threads of this process, read once two reads a millisecond apart agree
+/// (a thread joined just before may linger in the list for an instant).
+inline int SettledThreadCount() {
+  auto count = [] {
+    int n = 0;
+    for (const auto& task :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      (void)task;
+      ++n;
+    }
+    return n;
+  };
+  for (int n = count();;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const int again = count();
+    if (again == n) return n;
+    n = again;
+  }
 }
 
 }  // namespace oocgemm::testutil

@@ -146,20 +146,6 @@ TEST(Device, ZeroByteTransferStillPaysLatency) {
               d.properties().transfer_latency, 1e-12);
 }
 
-TEST(Device, HazardCheckingCanBeDisabled) {
-  Device d(SmallProps());
-  d.set_hazard_checking(false);
-  HostContext host;
-  Stream* s1 = d.CreateStream("a");
-  Stream* s2 = d.CreateStream("b");
-  auto p = d.Malloc(host, 4096);
-  ASSERT_TRUE(p.ok());
-  std::vector<char> buf(4096);
-  d.LaunchKernel(host, *s1, "w", 5e-3, {{p->offset, 4096, true}}, [] {});
-  d.MemcpyD2HAsync(host, *s2, buf.data(), p.value(), 4096, "racy");
-  EXPECT_TRUE(d.hazard_violations().empty());  // not tracked
-}
-
 TEST(Device, KernelLaunchOverheadAccumulatesOnHost) {
   Device d(SmallProps());
   HostContext host;
