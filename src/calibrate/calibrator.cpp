@@ -37,10 +37,6 @@ obs::Labels DeviceLabels(int index) {
   return {{"device", std::to_string(index)}};
 }
 
-obs::Labels FitLabels(int index, const char* fit) {
-  return {{"device", std::to_string(index)}, {"fit", fit}};
-}
-
 /// Counter delta with reset tolerance: a ResetForTest (or registry swap)
 /// makes the counter go backwards; treat that as "resync, no sample".
 double Delta(double now, double* prev) {
@@ -79,14 +75,12 @@ bool ParseCalibrateMode(const std::string& text, CalibrateMode* mode) {
 CostModelCalibrator::CostModelCalibrator(CalibratorConfig config,
                                          core::DevicePool* pool,
                                          obs::MetricsRegistry* registry)
-    : config_(config), pool_(pool), registry_(registry), cpu_fit_(config.fit) {
+    : config_(config), pool_(pool), registry_(registry) {
   const int n = pool_ != nullptr ? pool_->size() : 0;
   fits_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     fits_.push_back(DeviceFits{
-        LinearFit(config_.fit), LinearFit(config_.fit),
-        OverheadRateFit(config_.fit,
-                        config_.static_rates.kernel_launch_overhead)});
+        OverheadRateFit(StaticExecRates().kernel_launch_overhead)});
   }
   // Baseline: counters accumulated before the calibrator existed must not
   // contaminate the first tick's deltas.
@@ -128,11 +122,7 @@ void CostModelCalibrator::TickNow() {
   const obs::RegistrySnapshot snap = registry_->Snapshot();
   std::lock_guard<std::mutex> lock(mutex_);
   IngestLocked(snap, /*record=*/true);
-  for (DeviceFits& f : fits_) {
-    f.h2d.Commit();
-    f.d2h.Commit();
-    f.rate.Commit();
-  }
+  for (DeviceFits& f : fits_) f.rate.Commit();
   cpu_fit_.Commit();
   PublishLocked();
   ticks_.fetch_add(1, std::memory_order_relaxed);
@@ -148,14 +138,6 @@ void CostModelCalibrator::IngestLocked(const obs::RegistrySnapshot& snap,
   for (int i = 0; i < static_cast<int>(fits_.size()); ++i) {
     DeviceFits& f = fits_[static_cast<std::size_t>(i)];
     const obs::Labels labels = DeviceLabels(i);
-    const double h2d_b =
-        Delta(snap.Value("oocgemm_vgpu_h2d_bytes", labels), &f.h2d_bytes);
-    const double h2d_s =
-        Delta(snap.Value("oocgemm_vgpu_h2d_seconds", labels), &f.h2d_seconds);
-    const double d2h_b =
-        Delta(snap.Value("oocgemm_vgpu_d2h_bytes", labels), &f.d2h_bytes);
-    const double d2h_s =
-        Delta(snap.Value("oocgemm_vgpu_d2h_seconds", labels), &f.d2h_seconds);
     const double launches = Delta(
         snap.Value("oocgemm_vgpu_kernel_launches", labels), &f.launches);
     const double flops =
@@ -163,8 +145,6 @@ void CostModelCalibrator::IngestLocked(const obs::RegistrySnapshot& snap,
     const double kernel_s = Delta(
         snap.Value("oocgemm_vgpu_kernel_seconds", labels), &f.kernel_seconds);
     if (!record) continue;
-    if (h2d_b > 0.0 && h2d_s > 0.0) f.h2d.Add(h2d_b, h2d_s);
-    if (d2h_b > 0.0 && d2h_s > 0.0) f.d2h.Add(d2h_b, d2h_s);
     // The kernel-seconds counter records wall intervals *including* any
     // injected delay faults — exactly the degradation signal the fitted
     // effective rate must see.
@@ -177,7 +157,7 @@ void CostModelCalibrator::IngestLocked(const obs::RegistrySnapshot& snap,
 }
 
 void CostModelCalibrator::PublishLocked() {
-  const ExecRates& s = config_.static_rates;
+  const ExecRates s = StaticExecRates();
 
   CalibratedModel::CpuModel cpu;
   cpu.confident = cpu_fit_.confident();
@@ -187,10 +167,6 @@ void CostModelCalibrator::PublishLocked() {
   for (std::size_t i = 0; i < fits_.size(); ++i) {
     const DeviceFits& f = fits_[i];
     CalibratedModel::DeviceModel& d = devices[i];
-    d.h2d_confident = f.h2d.confident();
-    d.h2d_bandwidth = d.h2d_confident ? f.h2d.rate() : s.h2d_bandwidth;
-    d.d2h_confident = f.d2h.confident();
-    d.d2h_bandwidth = d.d2h_confident ? f.d2h.rate() : s.d2h_bandwidth;
     d.rate_confident = f.rate.confident() && f.rate.effective_rate() > 0.0;
     // Steering uses the *effective* rate (per-launch overhead included at
     // the observed launch intensity): a device drowning in launch delay
@@ -238,34 +214,20 @@ void CostModelCalibrator::PublishLocked() {
     const int idx = static_cast<int>(i);
     const DeviceFits& f = fits_[i];
     const CalibratedModel::DeviceModel& d = devices[i];
-    struct Row {
-      const char* fit;
-      std::int64_t samples, outliers;
-      bool confident;
-      double fitted;
-    } rows[] = {
-        {"h2d", f.h2d.samples(), f.h2d.outliers(), d.h2d_confident,
-         d.h2d_bandwidth},
-        {"d2h", f.d2h.samples(), f.d2h.outliers(), d.d2h_confident,
-         d.d2h_bandwidth},
-        {"rate", f.rate.samples(), f.rate.outliers(), d.rate_confident,
-         d.flop_rate},
-    };
-    for (const Row& r : rows) {
-      const obs::Labels labels = FitLabels(idx, r.fit);
-      reg.GetGauge("oocgemm_calibrate_samples", labels,
-                   "Committed samples per fit")
-          .Set(r.samples);
-      reg.GetGauge("oocgemm_calibrate_outliers", labels,
-                   "Winsorized samples per fit")
-          .Set(r.outliers);
-      reg.GetGauge("oocgemm_calibrate_confident", labels,
-                   "1 when the fit passed the confidence gate")
-          .Set(r.confident ? 1 : 0);
-      reg.GetGauge("oocgemm_calibrate_fitted_rate", labels,
-                   "Fitted rate (bytes/s or flops/s), static while gated")
-          .Set(static_cast<std::int64_t>(r.fitted));
-    }
+    const obs::Labels labels = {{"device", std::to_string(idx)},
+                                {"fit", "rate"}};
+    reg.GetGauge("oocgemm_calibrate_samples", labels,
+                 "Committed samples per fit")
+        .Set(f.rate.samples());
+    reg.GetGauge("oocgemm_calibrate_outliers", labels,
+                 "Winsorized samples per fit")
+        .Set(f.rate.outliers());
+    reg.GetGauge("oocgemm_calibrate_confident", labels,
+                 "1 when the fit passed the confidence gate")
+        .Set(d.rate_confident ? 1 : 0);
+    reg.GetGauge("oocgemm_calibrate_fitted_rate", labels,
+                 "Fitted effective flops/s, static while gated")
+        .Set(static_cast<std::int64_t>(d.flop_rate));
     reg.GetGauge("oocgemm_calibrate_gpu_ratio_millis", DeviceLabels(idx),
                  "Fitted hybrid split ratio x1000 (static when 0 samples)")
         .Set(static_cast<std::int64_t>(

@@ -1,19 +1,20 @@
 // Closed-loop cost-model calibration from live metrics.
 //
-// The repo's planning constants are static (DeviceProperties bandwidths,
-// CostModel flop rates, ExecutorOptions::gpu_ratio = 0.67 from the paper's
+// The repo's planning constants are static (kernels::kCostModel flop
+// rates, ExecutorOptions::gpu_ratio = 0.67 from the paper's
 // Ratio = S/(S+1) rule) even though devices drift at runtime — they are
 // heterogeneous, and injected delay faults degrade them mid-run.  The
 // obs registry already records, per device, the ground truth those
-// constants approximate: h2d/d2h bytes *and* engine-busy seconds, kernel
-// seconds (including injected delays), and — added with this subsystem —
-// per-device numeric flops plus CPU flops/seconds.
+// constants approximate: kernel launches and seconds (including injected
+// delays), and — added with this subsystem — per-device numeric flops
+// plus CPU flops/seconds.
 //
 // CostModelCalibrator closes the loop.  Each tick it snapshots the
-// registry, forms per-device (delta bytes, delta seconds) and
-// (delta flops, delta seconds) samples, and feeds them to robust online
-// regressions (calibrate/fit.hpp).  When a refit passes the confidence
-// gate it publishes a CalibratedModel consumed at three decision points:
+// registry, forms per-device (delta launches, delta flops, delta seconds)
+// and CPU (delta flops, delta seconds) samples, and feeds them to robust
+// online regressions (calibrate/fit.hpp).  When a refit passes the
+// confidence gate it publishes a CalibratedModel consumed at three
+// decision points:
 //
 //   (a) hybrid split — the scheduler overrides gpu_ratio with the
 //       dispatched device's S/(S+1), S = fitted device rate / fitted CPU
@@ -56,11 +57,6 @@ struct CalibratorConfig {
   /// Wall seconds between completion-path ticks (MaybeTick); 0 leaves
   /// ticks to TickNow() alone.
   double interval_seconds = 0.0;
-  FitConfig fit;
-  /// Static reference rates the fits are gated against and compared to.
-  // CostModel{} is the default argument spelled out: GCC 12 misreports the
-  // defaulted temporary as dangling wherever this initializer is inlined.
-  ExecRates static_rates = StaticExecRates(kernels::CostModel{});
 };
 
 class CostModelCalibrator {
@@ -108,12 +104,8 @@ class CostModelCalibrator {
 
  private:
   struct DeviceFits {
-    LinearFit h2d;        // (bytes, seconds)
-    LinearFit d2h;        // (bytes, seconds)
     OverheadRateFit rate; // (launches, flops, kernel seconds w/ delays)
     // Previous-tick counter values (deltas are formed against these).
-    double h2d_bytes = 0.0, h2d_seconds = 0.0;
-    double d2h_bytes = 0.0, d2h_seconds = 0.0;
     double launches = 0.0, flops = 0.0, kernel_seconds = 0.0;
   };
 

@@ -5,12 +5,6 @@
 
 namespace oocgemm::calibrate {
 
-LinearFit::LinearFit(FitConfig config) : config_(config) {
-  config_.decay = std::clamp(config_.decay, 0.0, 1.0);
-  config_.min_samples = std::max(1, config_.min_samples);
-  config_.outlier_k = std::max(1.0, config_.outlier_k);
-}
-
 void LinearFit::Add(double x, double y) {
   if (!(x > 0.0) || !(y >= 0.0) || !std::isfinite(x) || !std::isfinite(y)) {
     return;
@@ -21,9 +15,9 @@ void LinearFit::Add(double x, double y) {
 void LinearFit::Commit() {
   // Decay first: the prior moments age one tick whether or not traffic
   // arrived, so an idle stretch lets fresh evidence dominate sooner.
-  w_sum_ *= config_.decay;
-  sxx_ *= config_.decay;
-  sxy_ *= config_.decay;
+  w_sum_ *= kFitDecay;
+  sxx_ *= kFitDecay;
+  sxy_ *= kFitDecay;
   if (pending_.empty()) return;
 
   // Canonical order: every weight below is computed against the fit state
@@ -32,7 +26,7 @@ void LinearFit::Commit() {
   std::sort(pending_.begin(), pending_.end());
   const double frozen_slope = slope_;
   const double frozen_scale = residual_scale_;
-  const bool warmed = samples_ >= config_.min_samples && frozen_slope > 0.0;
+  const bool warmed = samples_ >= kFitMinSamples && frozen_slope > 0.0;
 
   double scale_acc = 0.0;
   double scale_n = 0.0;
@@ -45,8 +39,7 @@ void LinearFit::Commit() {
       // Winsorize once the fit warmed up: clamp the sample's weight so its
       // pull equals a residual at the acceptance edge.  floor(1e-3 * scale)
       // keeps a long quiet streak from making the gate infinitely strict.
-      const double gate =
-          config_.outlier_k * std::max(frozen_scale, 1e-3);
+      const double gate = kFitOutlierK * std::max(frozen_scale, 1e-3);
       if (warmed && rel_residual > gate) {
         weight = gate / rel_residual;
         ++outliers_;
@@ -67,18 +60,13 @@ void LinearFit::Commit() {
   const double tick_scale = scale_n > 0.0 ? scale_acc / scale_n : 0.0;
   residual_scale_ = residual_scale_ == 0.0
                         ? tick_scale
-                        : config_.decay * residual_scale_ +
-                              (1.0 - config_.decay) * tick_scale;
+                        : kFitDecay * residual_scale_ +
+                              (1.0 - kFitDecay) * tick_scale;
 }
 
-OverheadRateFit::OverheadRateFit(FitConfig config, double static_overhead)
-    : config_(config),
-      static_overhead_(std::max(0.0, static_overhead)),
-      overhead_(static_overhead_) {
-  config_.decay = std::clamp(config_.decay, 0.0, 1.0);
-  config_.min_samples = std::max(1, config_.min_samples);
-  config_.outlier_k = std::max(1.0, config_.outlier_k);
-}
+OverheadRateFit::OverheadRateFit(double static_overhead)
+    : static_overhead_(std::max(0.0, static_overhead)),
+      overhead_(static_overhead_) {}
 
 void OverheadRateFit::Add(double launches, double flops, double seconds) {
   if (!(flops > 0.0) || !(seconds > 0.0) || !(launches >= 0.0) ||
@@ -90,7 +78,7 @@ void OverheadRateFit::Add(double launches, double flops, double seconds) {
 }
 
 void OverheadRateFit::Commit() {
-  const double d = config_.decay;
+  const double d = kFitDecay;
   sll_ *= d; slf_ *= d; sff_ *= d; sls_ *= d; sfs_ *= d;
   sf_ *= d; ss_ *= d;
   if (pending_.empty()) return;
@@ -99,7 +87,7 @@ void OverheadRateFit::Commit() {
   const double frozen_overhead = overhead_;
   const double frozen_inv_rate = inv_rate_;
   const double frozen_scale = residual_scale_;
-  const bool warmed = samples_ >= config_.min_samples && frozen_inv_rate > 0.0;
+  const bool warmed = samples_ >= kFitMinSamples && frozen_inv_rate > 0.0;
 
   double scale_acc = 0.0;
   double scale_n = 0.0;
@@ -109,7 +97,7 @@ void OverheadRateFit::Commit() {
     double rel_residual = 0.0;
     if (predicted > 0.0) {
       rel_residual = std::abs(p.s - predicted) / predicted;
-      const double gate = config_.outlier_k * std::max(frozen_scale, 1e-3);
+      const double gate = kFitOutlierK * std::max(frozen_scale, 1e-3);
       if (warmed && rel_residual > gate) {
         weight = gate / rel_residual;
         ++outliers_;
@@ -155,8 +143,8 @@ void OverheadRateFit::Commit() {
   const double tick_scale = scale_n > 0.0 ? scale_acc / scale_n : 0.0;
   residual_scale_ = residual_scale_ == 0.0
                         ? tick_scale
-                        : config_.decay * residual_scale_ +
-                              (1.0 - config_.decay) * tick_scale;
+                        : kFitDecay * residual_scale_ +
+                              (1.0 - kFitDecay) * tick_scale;
 }
 
 }  // namespace oocgemm::calibrate

@@ -14,12 +14,12 @@
 //    the moments.  Two calibrators fed the same sample multiset in any
 //    order therefore produce bit-identical fits.
 //  * Winsorized outlier rejection.  A sample whose residual against the
-//    frozen fit exceeds `outlier_k` times the EWMA residual scale is not
+//    frozen fit exceeds kFitOutlierK times the EWMA residual scale is not
 //    dropped — its weight is clamped so it contributes as much as a
 //    barely-acceptable sample.  One faulted run cannot poison the fit, but
 //    a *persistent* shift (a degraded device) keeps pulling the slope until
 //    the fit tracks it.
-//  * Confidence gate.  Until `min_samples` samples accrued (and the slope
+//  * Confidence gate.  Until kFitMinSamples samples accrued (and the slope
 //    is finite and positive), confident() is false and callers keep their
 //    static defaults.
 //
@@ -33,21 +33,17 @@
 
 namespace oocgemm::calibrate {
 
-struct FitConfig {
-  /// Retained fraction of the accumulated moments per Commit (per tick):
-  /// weight of a sample t ticks old is decay^t.  1.0 = plain least squares.
-  double decay = 0.8;
-  /// Samples before confident() turns true (the static-defaults gate).
-  int min_samples = 6;
-  /// Winsorization threshold in units of the EWMA residual scale.
-  double outlier_k = 4.0;
-};
+/// Retained fraction of the accumulated moments per Commit (per tick):
+/// weight of a sample t ticks old is kFitDecay^t.
+inline constexpr double kFitDecay = 0.8;
+/// Samples before confident() turns true (the static-defaults gate).
+inline constexpr int kFitMinSamples = 6;
+/// Winsorization threshold in units of the EWMA residual scale.
+inline constexpr double kFitOutlierK = 4.0;
 
 /// Through-origin EWMA-weighted least squares of y = slope * x.
 class LinearFit {
  public:
-  explicit LinearFit(FitConfig config = {});
-
   /// Buffers one sample for the next Commit.  x must be > 0 and y >= 0;
   /// anything else is silently ignored (a tick with no traffic produces
   /// zero deltas, which are not samples).
@@ -64,10 +60,8 @@ class LinearFit {
   /// Units per second (1 / slope); 0 until a positive slope exists.
   double rate() const { return slope_ > 0.0 ? 1.0 / slope_ : 0.0; }
 
-  /// True once min_samples committed samples accrued with a usable slope.
-  bool confident() const {
-    return samples_ >= config_.min_samples && slope_ > 0.0;
-  }
+  /// True once kFitMinSamples committed samples accrued with a usable slope.
+  bool confident() const { return samples_ >= kFitMinSamples && slope_ > 0.0; }
 
   std::int64_t samples() const { return samples_; }
   /// Samples whose weight was clamped by the winsorization rule.
@@ -76,7 +70,6 @@ class LinearFit {
   double residual_scale() const { return residual_scale_; }
 
  private:
-  FitConfig config_;
   std::vector<std::pair<double, double>> pending_;
   double w_sum_ = 0.0;   // decayed sum of weights
   double sxx_ = 0.0;     // decayed sum of w * x^2
@@ -100,8 +93,7 @@ class LinearFit {
 /// LinearFit.
 class OverheadRateFit {
  public:
-  explicit OverheadRateFit(FitConfig config = {},
-                           double static_overhead = 0.0);
+  explicit OverheadRateFit(double static_overhead = 0.0);
 
   /// Buffers one tick sample: `launches` kernel launches, `flops` of work,
   /// `seconds` of engine-busy time.  Non-positive flops/seconds or
@@ -127,7 +119,7 @@ class OverheadRateFit {
   bool overhead_resolved() const { return overhead_resolved_; }
 
   bool confident() const {
-    return samples_ >= config_.min_samples && inv_rate_ > 0.0;
+    return samples_ >= kFitMinSamples && inv_rate_ > 0.0;
   }
   std::int64_t samples() const { return samples_; }
   std::int64_t outliers() const { return outliers_; }
@@ -143,7 +135,6 @@ class OverheadRateFit {
     }
   };
 
-  FitConfig config_;
   double static_overhead_;
   std::vector<Sample> pending_;
   // Decayed weighted moments of the normal equations.

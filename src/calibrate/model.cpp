@@ -2,13 +2,13 @@
 
 #include <cmath>
 
+#include "kernels/cost_model.hpp"
+
 namespace oocgemm::calibrate {
 
-ExecRates StaticExecRates(const kernels::CostModel& cm,
-                          const vgpu::DeviceProperties& props) {
+ExecRates StaticExecRates(const vgpu::DeviceProperties& props) {
+  const kernels::CostModel& cm = kernels::kCostModel;
   ExecRates r;
-  r.h2d_bandwidth = props.h2d_bandwidth;
-  r.d2h_bandwidth = props.d2h_bandwidth;
   r.gpu_flop_rate = cm.NumericRate(kReferenceCompressionRatio);
   // The CPU model is seconds = coeff * flops / cr^exp; at the reference
   // compression ratio the effective rate is the inverse per-flop cost.
@@ -25,13 +25,10 @@ CalibratedModel CalibratedModel::FromStatic(int num_devices,
   std::vector<DeviceModel> devices(
       static_cast<std::size_t>(std::max(0, num_devices)));
   for (DeviceModel& d : devices) {
-    d.h2d_bandwidth = rates.h2d_bandwidth;
-    d.d2h_bandwidth = rates.d2h_bandwidth;
     d.flop_rate = rates.gpu_flop_rate;
     d.launch_overhead = rates.kernel_launch_overhead;
     d.gpu_ratio = static_ratio;  // stored verbatim: zero recomputation drift
     d.routing = kernels::RouteCalibration{};
-    d.h2d_confident = d.d2h_confident = true;
     d.rate_confident = d.ratio_confident = true;
   }
   CpuModel cpu;

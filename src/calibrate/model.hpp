@@ -20,29 +20,25 @@
 #include <cstdint>
 #include <vector>
 
-#include "kernels/cost_model.hpp"
 #include "kernels/kernel_registry.hpp"
 #include "vgpu/device.hpp"
 
 namespace oocgemm::calibrate {
 
-/// The transfer/compute rates of one device and the CPU.  All rates are
-/// "effective, end to end" (they absorb launch overheads and phase mix).
+/// The compute rates of one device and the CPU.  All rates are "effective,
+/// end to end" (they absorb launch overheads and phase mix).
 struct ExecRates {
-  double h2d_bandwidth = 0.0;        // bytes/s
-  double d2h_bandwidth = 0.0;        // bytes/s
   double gpu_flop_rate = 0.0;        // flops/s through the whole GPU pipeline
   double cpu_flop_rate = 0.0;        // flops/s of the multicore path
   double kernel_launch_overhead = 0.0;  // seconds per kernel launch
 };
 
 /// The static reference rates, derived from the same constants the
-/// executors hard-code: DeviceProperties bandwidths and the CostModel
-/// rates at a reference compression ratio.  This is the baseline every
-/// fitted rate is compared against, and the published value while the
-/// confidence gate holds.
+/// executors hard-code: kernels::kCostModel's rates at a reference
+/// compression ratio and the device's launch overhead.  This is the
+/// baseline every fitted rate is compared against, and the published value
+/// while the confidence gate holds.
 ExecRates StaticExecRates(
-    const kernels::CostModel& cm = {},
     const vgpu::DeviceProperties& props = vgpu::ScaledV100Properties(10));
 
 /// Reference compression ratio at which the static flop rates are taken
@@ -53,8 +49,6 @@ inline constexpr double kReferenceCompressionRatio = 4.0;
 class CalibratedModel {
  public:
   struct DeviceModel {
-    double h2d_bandwidth = 0.0;   // bytes/s; valid iff h2d_confident
-    double d2h_bandwidth = 0.0;
     double flop_rate = 0.0;       // effective flops/s; valid iff rate_confident
     /// Fitted seconds per kernel launch; valid iff rate_confident (the
     /// two-term fit resolves both together, or falls back to the static
@@ -66,8 +60,6 @@ class CalibratedModel {
     /// Routing cost scales vs the static model (identity when the fit
     /// matches the static constants).
     kernels::RouteCalibration routing;
-    bool h2d_confident = false;
-    bool d2h_confident = false;
     bool rate_confident = false;
     bool ratio_confident = false;
   };

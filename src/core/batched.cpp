@@ -33,8 +33,7 @@ StatusOr<BatchedRunResult> BatchedOutOfCoreImpl(
   std::vector<const partition::PanelPlan*> plans;
   for (const PreparedProblem& p : preps) plans.push_back(&p.plan);
   const partition::WorkspaceSizes sizes = partition::WorkspaceFor(plans);
-  const std::int64_t budget =
-      partition::PlanBudget(device.capacity(), options.plan);
+  const std::int64_t budget = partition::PlanBudget(device.capacity());
   if (sizes.bytes() > budget) {
     return Status::ResourceExhausted(
         "batch workspace of " + std::to_string(sizes.bytes()) +

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "kernels/cost_model.hpp"
 #include "kernels/cpu_spgemm.hpp"
 #include "obs/metrics.hpp"
 
@@ -39,7 +40,6 @@ CpuRunOutput RunCpuChunks(const PreparedProblem& prep,
                           const std::vector<int>& order,
                           const ExecutorOptions& options, ThreadPool& pool) {
   CpuRunOutput out;
-  const kernels::CostModel& cm = options.spgemm.cost_model;
   kernels::CpuSpgemmOptions cpu_options;
   cpu_options.accumulator = options.spgemm.accumulator;
   cpu_options.routing = options.spgemm.routing;
@@ -72,7 +72,8 @@ CpuRunOutput RunCpuChunks(const PreparedProblem& prep,
     const double cr = c.nnz() > 0 ? static_cast<double>(chunk_flops) /
                                         static_cast<double>(c.nnz())
                                   : 1.0;
-    const double chunk_seconds = cm.CpuChunkSeconds(chunk_flops, cr);
+    const double chunk_seconds =
+        kernels::kCostModel.CpuChunkSeconds(chunk_flops, cr);
     out.busy_seconds += chunk_seconds;
     out.flops += chunk_flops;
     out.nnz += c.nnz();

@@ -7,6 +7,7 @@
 #include "core/lanes.hpp"
 #include "core/problem.hpp"
 #include "core/retry.hpp"
+#include "kernels/cost_model.hpp"
 #include "kernels/cpu_spgemm.hpp"
 #include "sparse/analysis.hpp"
 
@@ -79,7 +80,6 @@ StatusOr<RunResult> CpuMulticore(const Csr& a, const Csr& b,
   if (a.cols() != b.rows()) {
     return Status::InvalidArgument("dimension mismatch");
   }
-  const kernels::CostModel& cm = options.spgemm.cost_model;
   kernels::CpuSpgemmOptions cpu_options;
   cpu_options.accumulator = options.spgemm.accumulator;
   cpu_options.routing = options.spgemm.routing;
@@ -92,7 +92,7 @@ StatusOr<RunResult> CpuMulticore(const Csr& a, const Csr& b,
       c.nnz() > 0 ? static_cast<double>(result.stats.flops) /
                         static_cast<double>(c.nnz())
                   : 0.0;
-  result.stats.total_seconds = cm.CpuChunkSeconds(
+  result.stats.total_seconds = kernels::kCostModel.CpuChunkSeconds(
       result.stats.flops, result.stats.compression_ratio);
   // The calibrator's CPU-rate fit must see CPU-only traffic too.
   RecordCpuWork(result.stats.flops, result.stats.total_seconds);

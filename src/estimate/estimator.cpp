@@ -72,8 +72,6 @@ ProductEstimate EstimateProduct(const sparse::Csr& a, const sparse::Csr& b,
   est.row_products.assign(static_cast<std::size_t>(rows), 0.0);
   est.row_nnz.assign(static_cast<std::size_t>(rows), 0.0);
 
-  const std::int64_t max_draws =
-      std::max<std::int64_t>(1, opts.max_draws_per_row);
   const double max_row_nnz = static_cast<double>(b.cols());
 
   Pcg32 draw_rng(opts.seed, kDrawStream);
@@ -104,13 +102,14 @@ ProductEstimate EstimateProduct(const sparse::Csr& a, const sparse::Csr& b,
     double products;
     sparse::offset_t stride = 1, phase = 0;
     std::int64_t draws = d;
-    if (d <= max_draws) {
+    if (d <= kMaxDrawsPerRow) {
       products = 0.0;
       for (sparse::offset_t p = beg; p < end; ++p) {
         products += static_cast<double>(b.row_nnz(acols[static_cast<std::size_t>(p)]));
       }
     } else {
-      stride = static_cast<sparse::offset_t>((d + max_draws - 1) / max_draws);
+      stride = static_cast<sparse::offset_t>((d + kMaxDrawsPerRow - 1) /
+                                             kMaxDrawsPerRow);
       phase = static_cast<sparse::offset_t>(
           draw_rng.Below64(static_cast<std::uint64_t>(stride)));
       double drawn = 0.0;
@@ -221,9 +220,8 @@ ProductEstimate EstimateProduct(const sparse::Csr& a, const sparse::Csr& b,
     est.rel_stderr = ratio > 0.0 ? stderr_ratio / ratio
                                  : std::numeric_limits<double>::infinity();
   }
-  est.reliable = s >= opts.min_sample_rows &&
-                 std::isfinite(est.rel_stderr) &&
-                 est.rel_stderr <= opts.max_rel_stderr;
+  est.reliable = s >= kMinSampleRows && std::isfinite(est.rel_stderr) &&
+                 est.rel_stderr <= kMaxRelStderr;
 
   est.analysis_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

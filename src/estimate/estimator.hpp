@@ -9,7 +9,7 @@
 // and compression ratio of C = A*B from
 //
 //   1. *Strided column draws*: for each row of A, at most
-//      `max_draws_per_row` of its column ids are visited at a fixed stride
+//      `kMaxDrawsPerRow` of its column ids are visited at a fixed stride
 //      with a seeded random phase; each drawn id k contributes |B(k,:)|,
 //      scaled by d/draws.  Cost O(min(d, draws)) per row — never O(flops).
 //   2. *Row sampling + occupancy*: a seeded ~`row_sample_fraction` subset
@@ -42,18 +42,19 @@ namespace oocgemm::estimate {
 struct EstimatorOptions {
   /// Fraction of A's rows that get the distinct-count (occupancy) treatment.
   double row_sample_fraction = 0.05;
-  /// Below this many sampled rows the estimate reports reliable == false.
-  int min_sample_rows = 32;
-  /// Cap on column draws per row of A; rows at most this long are exact.
-  int max_draws_per_row = 64;
-  /// Reliability cutoff on the sampled ratio's relative standard error.
-  double max_rel_stderr = 0.35;
   std::uint64_t seed = 1;
 };
 
+/// Cap on column draws per row of A; rows at most this long are exact.
+inline constexpr int kMaxDrawsPerRow = 64;
+/// Below this many sampled rows the estimate reports reliable == false.
+inline constexpr int kMinSampleRows = 32;
+/// Reliability cutoff on the sampled ratio's relative standard error.
+inline constexpr double kMaxRelStderr = 0.35;
+
 /// Structure-only estimate of C = A*B.  All quantities are estimates; the
 /// only exact guarantees are determinism in the seed and row_products[i]
-/// == exact products for rows with <= max_draws_per_row nonzeros.
+/// == exact products for rows with <= kMaxDrawsPerRow nonzeros.
 struct ProductEstimate {
   /// Per-row of A: estimated multiply count (sum over k in A(i,:) of
   /// |B(k,:)|).  flops(i) = 2 * row_products[i].

@@ -11,16 +11,13 @@ int HotOperandTracker::RecordAndFanout(std::uint64_t key) {
   // credit the hit.  pow keeps sparse keys cheap: one update per arrival
   // instead of one per global tick.
   const std::uint64_t elapsed = tick_ - e.last_tick;
-  e.ewma = e.ewma * std::pow(config_.ewma_decay,
-                             static_cast<double>(elapsed)) +
-           1.0;
+  e.ewma = e.ewma * std::pow(kEwmaDecay, static_cast<double>(elapsed)) + 1.0;
   e.last_tick = tick_;
 
-  if (!e.hot && e.ewma >= config_.hot_threshold) {
+  if (!e.hot && e.ewma >= kHotThreshold) {
     e.hot = true;
     ++promotions_;
-  } else if (e.hot &&
-             e.ewma < config_.hot_threshold * config_.demote_margin) {
+  } else if (e.hot && e.ewma < kHotThreshold * kDemoteMargin) {
     e.hot = false;
     ++demotions_;
   }
@@ -37,7 +34,7 @@ double HotOperandTracker::EwmaOf(std::uint64_t key) const {
   if (it == entries_.end()) return 0.0;
   // Present-value view: decay to the current tick.
   return it->second.ewma *
-         std::pow(config_.ewma_decay,
+         std::pow(kEwmaDecay,
                   static_cast<double>(tick_ - it->second.last_tick));
 }
 

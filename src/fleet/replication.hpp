@@ -5,7 +5,7 @@
 // shard becomes the fleet's bottleneck while the others idle.  The tracker
 // keeps a per-operand EWMA of submission rate over *logical ticks* (one
 // tick per routed job — wall clock would make placement timing-dependent
-// and untestable).  When an operand's EWMA crosses `hot_threshold`, it is
+// and untestable).  When an operand's EWMA crosses kHotThreshold, it is
 // promoted: jobs on it spread round-robin over the first R ring successors
 // instead of just the owner, trading one extra shard's worth of B-panel
 // uploads for R-way service bandwidth.  A demotion margin (hysteresis)
@@ -24,16 +24,17 @@ namespace oocgemm::fleet {
 struct ReplicationConfig {
   /// Shards a hot operand is served from (1 disables replication).
   int replication = 1;
-  /// Per-tick EWMA decay; closer to 1 = longer memory.
-  double ewma_decay = 0.95;
-  /// EWMA value at which an operand is promoted to its replica set.
-  double hot_threshold = 3.0;
-  /// Demoted only once the EWMA falls below hot_threshold * this margin.
-  double demote_margin = 0.5;
 };
 
 class HotOperandTracker {
  public:
+  /// Per-tick EWMA decay; closer to 1 = longer memory.
+  static constexpr double kEwmaDecay = 0.95;
+  /// EWMA value at which an operand is promoted to its replica set.
+  static constexpr double kHotThreshold = 3.0;
+  /// Demoted only once the EWMA falls below kHotThreshold * this margin.
+  static constexpr double kDemoteMargin = 0.5;
+
   explicit HotOperandTracker(ReplicationConfig config = {})
       : config_(config) {}
 

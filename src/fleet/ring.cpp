@@ -13,15 +13,14 @@ std::uint64_t ConsistentHashRing::MixHash(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-ConsistentHashRing::ConsistentHashRing(int num_shards, int vnodes_per_shard)
-    : vnodes_(std::max(1, vnodes_per_shard)) {
+ConsistentHashRing::ConsistentHashRing(int num_shards) {
   for (int s = 0; s < num_shards; ++s) AddShard(s);
 }
 
 void ConsistentHashRing::AddShard(int shard) {
   if (shard < 0 || Contains(shard)) return;
-  points_.reserve(points_.size() + static_cast<std::size_t>(vnodes_));
-  for (int v = 0; v < vnodes_; ++v) {
+  points_.reserve(points_.size() + kVnodesPerShard);
+  for (int v = 0; v < kVnodesPerShard; ++v) {
     const std::uint64_t seed =
         (static_cast<std::uint64_t>(shard) << 32) |
         static_cast<std::uint64_t>(v);

@@ -1,6 +1,6 @@
 // Consistent-hash ring with virtual nodes: the fleet's placement function.
 //
-// Each shard owns `vnodes_per_shard` points on a 64-bit ring; a key is
+// Each shard owns kVnodesPerShard points on a 64-bit ring; a key is
 // owned by the shard of the first point clockwise from the key's hash.
 // Virtual nodes smooth the per-shard arc length, so keys spread nearly
 // uniformly (chi-square-tested in test_fleet_ring.cpp), and removing a
@@ -21,11 +21,10 @@ namespace oocgemm::fleet {
 
 class ConsistentHashRing {
  public:
-  static constexpr int kDefaultVnodesPerShard = 64;
+  static constexpr int kVnodesPerShard = 64;
 
   /// A ring with shards 0..num_shards-1 already added.
-  explicit ConsistentHashRing(int num_shards = 0,
-                              int vnodes_per_shard = kDefaultVnodesPerShard);
+  explicit ConsistentHashRing(int num_shards = 0);
 
   /// Idempotent; shard indices are small non-negative ints.
   void AddShard(int shard);
@@ -36,7 +35,6 @@ class ConsistentHashRing {
 
   bool empty() const { return points_.empty(); }
   int shard_count() const;
-  int vnodes_per_shard() const { return vnodes_; }
 
   /// The shard owning `key`: the first ring point clockwise from
   /// MixHash(key).  -1 on an empty ring.
@@ -60,7 +58,6 @@ class ConsistentHashRing {
   };
 
   std::vector<Point> points_;  // sorted by hash
-  int vnodes_;
 };
 
 }  // namespace oocgemm::fleet

@@ -23,8 +23,7 @@ const char* RoutingPolicyName(RoutingPolicy policy) {
 FleetRouter::FleetRouter(std::vector<std::vector<vgpu::Device*>> shard_devices,
                          ThreadPool& pool, FleetConfig config)
     : config_(std::move(config)),
-      ring_(static_cast<int>(shard_devices.size()),
-            config_.vnodes_per_shard),
+      ring_(static_cast<int>(shard_devices.size())),
       tracker_(config_.replication),
       rng_(kRandomSeed) {
   shards_.reserve(shard_devices.size());

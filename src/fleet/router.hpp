@@ -54,8 +54,7 @@ struct FleetConfig {
   serve::ServerConfig shard;
 
   RoutingPolicy policy = RoutingPolicy::kAffinity;
-  int vnodes_per_shard = ConsistentHashRing::kDefaultVnodesPerShard;
-  /// Replication factor and EWMA knobs of the hot-operand tracker.
+  /// Replication factor of the hot-operand tracker.
   ReplicationConfig replication;
 };
 

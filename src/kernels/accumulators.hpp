@@ -230,15 +230,4 @@ enum class AccumulatorKind {
   kRowMerge,
 };
 
-/// The paper's original two-way rule of thumb: dense accumulation pays off
-/// when the row's intermediate-product count is a significant fraction of
-/// the panel width.  Kept for the ablation bench; adaptive routing goes
-/// through kernel_registry.hpp's RouteRow instead.
-inline AccumulatorKind ChooseAccumulator(std::int64_t row_flops,
-                                         index_t panel_cols) {
-  return (row_flops / 2 >= static_cast<std::int64_t>(panel_cols) / 8)
-             ? AccumulatorKind::kDense
-             : AccumulatorKind::kHash;
-}
-
 }  // namespace oocgemm::kernels

@@ -70,4 +70,9 @@ struct CostModel {
   double CpuChunkSeconds(std::int64_t flops, double cr) const;
 };
 
+/// The one calibrated model: the GPU pipeline stages, CpuMulticore,
+/// RunCpuChunks and the calibrator's static rates all read it, so every
+/// figure comes from the same constants.
+inline constexpr CostModel kCostModel{};
+
 }  // namespace oocgemm::kernels

@@ -20,6 +20,9 @@ using sparse::value_t;
 
 namespace {
 
+/// Rows per parallel block (amortizes task dispatch).
+constexpr std::size_t kMinGrain = 64;
+
 struct ThreadScratch {
   AccumulatorScratch acc;
 };
@@ -33,8 +36,8 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
 /// across slices of the group's row list, and charges the group's wall time
 /// to the given per-strategy double counter.
 template <typename Body>
-void ForEachGroup(const RoutedGroups& routed, ThreadPool* pool,
-                  std::size_t min_grain, bool symbolic, Body body) {
+void ForEachGroup(const RoutedGroups& routed, ThreadPool* pool, bool symbolic,
+                  Body body) {
   for (int g = 0; g < kNumRowGroups; ++g) {
     const auto& group_rows = routed.groups.groups[static_cast<std::size_t>(g)];
     if (group_rows.empty()) continue;
@@ -46,7 +49,7 @@ void ForEachGroup(const RoutedGroups& routed, ThreadPool* pool,
       body(rows, kind, w);
     };
     if (pool) {
-      pool->ParallelFor(0, group_rows.size(), block, min_grain);
+      pool->ParallelFor(0, group_rows.size(), block, kMinGrain);
     } else {
       block(0, group_rows.size(), 0);
     }
@@ -73,7 +76,7 @@ Csr RunTwoPhase(const Csr& a, const Csr& b, ThreadPool* pool,
                 b_row_nnz, row_flops.data() + lo);
   };
   if (pool) {
-    pool->ParallelFor(0, n, analyze_block, options.min_grain);
+    pool->ParallelFor(0, n, analyze_block, kMinGrain);
   } else {
     analyze_block(0, n, 0);
   }
@@ -85,7 +88,7 @@ Csr RunTwoPhase(const Csr& a, const Csr& b, ThreadPool* pool,
                 options.accumulator, options.routing);
 
   // Symbolic phase, one (possibly parallel) sweep per routed work class.
-  ForEachGroup(routed_symbolic, pool, options.min_grain, /*symbolic=*/true,
+  ForEachGroup(routed_symbolic, pool, /*symbolic=*/true,
                [&](const std::vector<index_t>& rows, AccumulatorKind kind,
                    std::size_t w) {
                  SymbolicRows(a.row_offsets().data(), a.col_ids().data(),
@@ -108,7 +111,7 @@ Csr RunTwoPhase(const Csr& a, const Csr& b, ThreadPool* pool,
                 b.cols(), options.accumulator, options.routing);
   RecordRoutedRows(routed_numeric);
 
-  ForEachGroup(routed_numeric, pool, options.min_grain, /*symbolic=*/false,
+  ForEachGroup(routed_numeric, pool, /*symbolic=*/false,
                [&](const std::vector<index_t>& rows, AccumulatorKind kind,
                    std::size_t w) {
                  NumericRows(a.row_offsets().data(), a.col_ids().data(),

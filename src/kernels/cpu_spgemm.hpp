@@ -20,8 +20,6 @@ namespace oocgemm::kernels {
 
 struct CpuSpgemmOptions {
   AccumulatorKind accumulator = AccumulatorKind::kHash;  // Nagasaka's choice
-  /// Rows per parallel block (amortizes task dispatch).
-  std::size_t min_grain = 64;
   /// Calibrated routing scales (identity = static cost model).
   RouteCalibration routing;
 };

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "common/prefix_sum.hpp"
+#include "kernels/cost_model.hpp"
 #include "kernels/kernel_registry.hpp"
 #include "obs/kernel_metrics.hpp"
 #include "obs/metrics.hpp"
@@ -34,7 +35,6 @@ Status ChunkPipeline::RunAnalysis(vgpu::HostContext& host,
   tag_ = tag;
 
   const index_t rows = a_panel.rows;
-  const CostModel& cm = options_.cost_model;
   product_ = ChunkProduct{};
   product_.rows = rows;
   product_.cols = b_panel.cols;
@@ -56,7 +56,8 @@ Status ChunkPipeline::RunAnalysis(vgpu::HostContext& host,
   std::int64_t* row_nnz = device_.As<std::int64_t>(product_.d_scratch_row_nnz);
 
   device_.LaunchKernel(
-      host, stream, tag + ".analysis", cm.GpuAnalysisSeconds(a_panel.nnz),
+      host, stream, tag + ".analysis",
+      kCostModel.GpuAnalysisSeconds(a_panel.nnz),
       {Region{a_panel.row_offsets.offset, a_panel.row_offsets.size, false},
        Region{a_panel.col_ids.offset, a_panel.col_ids.size, false},
        Region{b_panel.row_offsets.offset, b_panel.row_offsets.size, false},
@@ -105,7 +106,6 @@ Status ChunkPipeline::RunSymbolic(vgpu::HostContext& host,
                                   vgpu::Stream& stream) {
   OOC_CHECK(stage_ == 1);
   const index_t rows = product_.rows;
-  const CostModel& cm = options_.cost_model;
   const DeviceCsr& a_panel = *a_panel_;
   const DeviceCsr& b_panel = *b_panel_;
 
@@ -128,7 +128,7 @@ Status ChunkPipeline::RunSymbolic(vgpu::HostContext& host,
       group_flops += h_flops_[static_cast<std::size_t>(r)];
     }
     const double kernel_seconds =
-        cm.GpuSymbolicSeconds(group_flops, cr_estimate);
+        kCostModel.GpuSymbolicSeconds(group_flops, cr_estimate);
     obs::KernelMetricsFor(AccumulatorKindName(kind))
         .symbolic_seconds->Add(kernel_seconds);
     device_.LaunchKernel(
@@ -195,7 +195,6 @@ Status ChunkPipeline::RunSymbolic(vgpu::HostContext& host,
 
 void ChunkPipeline::RunNumeric(vgpu::HostContext& host, vgpu::Stream& stream) {
   OOC_CHECK(stage_ == 2);
-  const CostModel& cm = options_.cost_model;
   const DeviceCsr& a_panel = *a_panel_;
   const DeviceCsr& b_panel = *b_panel_;
 
@@ -253,7 +252,7 @@ void ChunkPipeline::RunNumeric(vgpu::HostContext& host, vgpu::Stream& stream) {
           NumericRows(a_ro, a_ci, a_va, b_ro, b_ci, b_va, b_panel.cols,
                       rows_in_group, h_flops_.data(), kind, scratch_, c_ro,
                       c_ci, c_va);
-          const double seconds = cm.GpuNumericSeconds(group_flops, cr);
+          const double seconds = kCostModel.GpuNumericSeconds(group_flops, cr);
           metrics.numeric_seconds->Add(seconds);
           return seconds;
         });

@@ -24,7 +24,6 @@
 #include "common/status.hpp"
 #include "kernels/accumulators.hpp"
 #include "kernels/binning.hpp"
-#include "kernels/cost_model.hpp"
 #include "kernels/device_csr.hpp"
 #include "kernels/spgemm_phases.hpp"
 #include "sparse/csr.hpp"
@@ -35,7 +34,6 @@ namespace oocgemm::kernels {
 
 struct DeviceSpgemmOptions {
   AccumulatorKind accumulator = AccumulatorKind::kAuto;
-  CostModel cost_model;
   /// Calibrated routing scales (identity = static cost model).
   RouteCalibration routing;
 };

@@ -20,22 +20,17 @@ std::size_t ShardIndex() {
 
 // --- LogBucketHistogram -----------------------------------------------------
 
-LogBucketHistogram::LogBucketHistogram(const std::atomic<bool>* enabled,
-                                       int buckets_per_pow2)
-    : bp2_(buckets_per_pow2),
-      counts_(static_cast<std::size_t>((kMaxExp - kMinExp) * buckets_per_pow2) +
+LogBucketHistogram::LogBucketHistogram()
+    : counts_(static_cast<std::size_t>((kMaxExp - kMinExp) * kBucketsPerPow2) +
               1),
       min_(std::numeric_limits<double>::infinity()),
-      max_(-std::numeric_limits<double>::infinity()),
-      enabled_(enabled) {
-  OOC_CHECK(buckets_per_pow2 >= 1 && buckets_per_pow2 <= 64);
-}
+      max_(-std::numeric_limits<double>::infinity()) {}
 
 int LogBucketHistogram::BucketIndex(double value) const {
   if (!(value > 0.0)) return 0;  // <=0 and NaN share the zero bucket
-  const double scaled = std::log2(value) * static_cast<double>(bp2_);
-  const int lo = kMinExp * bp2_;
-  const int hi = kMaxExp * bp2_ - 1;
+  const double scaled = std::log2(value) * static_cast<double>(kBucketsPerPow2);
+  const int lo = kMinExp * kBucketsPerPow2;
+  const int hi = kMaxExp * kBucketsPerPow2 - 1;
   int i = static_cast<int>(std::floor(scaled));
   i = std::clamp(i, lo, hi);
   return i - lo + 1;
@@ -43,18 +38,17 @@ int LogBucketHistogram::BucketIndex(double value) const {
 
 double LogBucketHistogram::UpperBound(int index) const {
   if (index <= 0) return 0.0;
-  return std::exp2(static_cast<double>(index + kMinExp * bp2_) /
-                   static_cast<double>(bp2_));
+  return std::exp2(static_cast<double>(index + kMinExp * kBucketsPerPow2) /
+                   static_cast<double>(kBucketsPerPow2));
 }
 
 double LogBucketHistogram::LowerBound(int index) const {
   if (index <= 0) return 0.0;
-  return std::exp2(static_cast<double>(index - 1 + kMinExp * bp2_) /
-                   static_cast<double>(bp2_));
+  return std::exp2(static_cast<double>(index - 1 + kMinExp * kBucketsPerPow2) /
+                   static_cast<double>(kBucketsPerPow2));
 }
 
 void LogBucketHistogram::Record(double value) {
-  if (!enabled_->load(std::memory_order_relaxed)) return;
   counts_[static_cast<std::size_t>(BucketIndex(value))].fetch_add(
       1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
@@ -73,9 +67,6 @@ void LogBucketHistogram::Record(double value) {
 }
 
 void LogBucketHistogram::MergeFrom(const LogBucketHistogram& other) {
-  OOC_CHECK(bp2_ == other.bp2_ &&
-            "merging histograms of different resolution");
-  if (!enabled_->load(std::memory_order_relaxed)) return;
   std::int64_t merged = 0;
   for (std::size_t i = 0; i < counts_.size(); ++i) {
     const std::int64_t c = other.counts_[i].load(std::memory_order_acquire);
@@ -102,7 +93,7 @@ void LogBucketHistogram::MergeFrom(const LogBucketHistogram& other) {
 
 HistogramSnapshot LogBucketHistogram::Snapshot() const {
   HistogramSnapshot s;
-  s.growth = std::exp2(1.0 / static_cast<double>(bp2_));
+  s.growth = std::exp2(1.0 / static_cast<double>(kBucketsPerPow2));
   std::int64_t total = 0;
   for (std::size_t i = 0; i < counts_.size(); ++i) {
     const std::int64_t c = counts_[i].load(std::memory_order_acquire);
@@ -214,7 +205,7 @@ Counter& MetricsRegistry::GetCounter(const std::string& name,
   std::unique_lock<std::mutex> lock(mutex_);
   Instrument& inst =
       ResolveLocked(name, labels, help, MetricKind::kCounter, /*floating=*/false);
-  if (!inst.counter) inst.counter = std::make_unique<Counter>(&enabled_);
+  if (!inst.counter) inst.counter = std::make_unique<Counter>();
   return *inst.counter;
 }
 
@@ -225,7 +216,7 @@ DoubleCounter& MetricsRegistry::GetDoubleCounter(const std::string& name,
   Instrument& inst =
       ResolveLocked(name, labels, help, MetricKind::kCounter, /*floating=*/true);
   if (!inst.double_counter) {
-    inst.double_counter = std::make_unique<DoubleCounter>(&enabled_);
+    inst.double_counter = std::make_unique<DoubleCounter>();
   }
   return *inst.double_counter;
 }
@@ -235,23 +226,17 @@ Gauge& MetricsRegistry::GetGauge(const std::string& name, const Labels& labels,
   std::unique_lock<std::mutex> lock(mutex_);
   Instrument& inst =
       ResolveLocked(name, labels, help, MetricKind::kGauge, /*floating=*/false);
-  if (!inst.gauge) inst.gauge = std::make_unique<Gauge>(&enabled_);
+  if (!inst.gauge) inst.gauge = std::make_unique<Gauge>();
   return *inst.gauge;
 }
 
 LogBucketHistogram& MetricsRegistry::GetHistogram(const std::string& name,
                                                   const Labels& labels,
-                                                  const std::string& help,
-                                                  int buckets_per_pow2) {
+                                                  const std::string& help) {
   std::unique_lock<std::mutex> lock(mutex_);
   Instrument& inst = ResolveLocked(name, labels, help, MetricKind::kHistogram,
                                    /*floating=*/false);
-  if (!inst.histogram) {
-    inst.histogram =
-        std::make_unique<LogBucketHistogram>(&enabled_, buckets_per_pow2);
-  }
-  OOC_CHECK(inst.histogram->buckets_per_pow2() == buckets_per_pow2 &&
-            "histogram re-registered with a different resolution");
+  if (!inst.histogram) inst.histogram = std::make_unique<LogBucketHistogram>();
   return *inst.histogram;
 }
 

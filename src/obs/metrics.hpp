@@ -12,7 +12,7 @@
 //    atomics so concurrent writers (scheduler workers, device ops on many
 //    threads) never contend on one line.  Reads sum the shards.
 //  * Gauge — a single atomic level (queue depth, device bytes in use).
-//  * LogBucketHistogram — log-spaced buckets (2^(1/bp2) growth) over a wide
+//  * LogBucketHistogram — log-spaced buckets (2^(1/8) growth) over a wide
 //    dynamic range, for latency/bytes/flops distributions.  Mergeable, and
 //    quantile estimates carry an explicit relative-error bound of one
 //    bucket width (tested against oocgemm::Summarize).
@@ -22,8 +22,7 @@
 //    each instrument is read atomically; after writers quiesce the snapshot
 //    equals the exact totals (no lost updates — tested under TSan).
 //
-// Recording is wait-free apart from the histogram min/max CAS loops, and a
-// disabled registry (set_enabled(false)) turns every write into a no-op, so
+// Recording is wait-free apart from the histogram min/max CAS loops, so
 // instrumentation can stay on hot paths unconditionally.
 #pragma once
 
@@ -55,12 +54,7 @@ std::size_t ShardIndex();
 template <typename T>
 class Sharded {
  public:
-  explicit Sharded(const std::atomic<bool>* enabled) : enabled_(enabled) {}
-
-  void Add(T delta) {
-    if (!enabled_->load(std::memory_order_relaxed)) return;
-    AtomicAdd(shards_[ShardIndex()].value, delta);
-  }
+  void Add(T delta) { AtomicAdd(shards_[ShardIndex()].value, delta); }
 
   T Value() const {
     T total{};
@@ -88,7 +82,6 @@ class Sharded {
     std::atomic<T> value{};
   };
   Shard shards_[kShards];
-  const std::atomic<bool>* enabled_;
 };
 
 }  // namespace detail
@@ -96,7 +89,6 @@ class Sharded {
 /// Monotone integer counter (events, bytes).  Thread-safe, sharded.
 class Counter {
  public:
-  explicit Counter(const std::atomic<bool>* enabled) : cells_(enabled) {}
   void Add(std::int64_t delta = 1) { cells_.Add(delta); }
   std::int64_t Value() const { return cells_.Value(); }
   void ResetForTest() { cells_.ResetForTest(); }
@@ -108,7 +100,6 @@ class Counter {
 /// Monotone floating-point counter (virtual seconds).  Thread-safe, sharded.
 class DoubleCounter {
  public:
-  explicit DoubleCounter(const std::atomic<bool>* enabled) : cells_(enabled) {}
   void Add(double delta) { cells_.Add(delta); }
   double Value() const { return cells_.Value(); }
   void ResetForTest() { cells_.ResetForTest(); }
@@ -120,13 +111,8 @@ class DoubleCounter {
 /// A level that moves both ways (queue depth, bytes in use).
 class Gauge {
  public:
-  explicit Gauge(const std::atomic<bool>* enabled) : enabled_(enabled) {}
-  void Set(std::int64_t v) {
-    if (!enabled_->load(std::memory_order_relaxed)) return;
-    value_.store(v, std::memory_order_release);
-  }
+  void Set(std::int64_t v) { value_.store(v, std::memory_order_release); }
   void Add(std::int64_t delta) {
-    if (!enabled_->load(std::memory_order_relaxed)) return;
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
   std::int64_t Value() const { return value_.load(std::memory_order_acquire); }
@@ -134,7 +120,6 @@ class Gauge {
 
  private:
   std::atomic<std::int64_t> value_{0};
-  const std::atomic<bool>* enabled_;
 };
 
 /// Point-in-time view of a histogram.  Buckets are the non-empty ones, in
@@ -152,7 +137,7 @@ struct HistogramSnapshot {
     std::int64_t count = 0;
   };
   std::vector<Bucket> buckets;
-  /// Growth factor 2^(1/buckets_per_pow2) — the relative-error bound of
+  /// Growth factor 2^(1/kBucketsPerPow2) — the relative-error bound of
   /// every quantile estimate.
   double growth = 0.0;
 
@@ -169,27 +154,25 @@ struct HistogramSnapshot {
 };
 
 /// Log-bucketed histogram over (0, +inf), with a dedicated bucket for
-/// values <= 0.  Bucket boundaries are 2^(i / buckets_per_pow2): recording
+/// values <= 0.  Bucket boundaries are 2^(i / kBucketsPerPow2): recording
 /// costs one log2 plus two relaxed atomic adds, and any quantile read off
-/// the buckets is within one bucket width (factor 2^(1/bp2)) of the exact
-/// order statistic.  Histograms with equal resolution merge exactly
-/// (bucket-count addition) — the property the per-device -> fleet rollup
-/// relies on, tested in test_obs_metrics.cpp.
+/// the buckets is within one bucket width (factor 2^(1/8)) of the exact
+/// order statistic.  Histograms merge exactly (bucket-count addition) —
+/// the property the per-device -> fleet rollup relies on, tested in
+/// test_obs_metrics.cpp.
 class LogBucketHistogram {
  public:
-  static constexpr int kDefaultBucketsPerPow2 = 8;  // growth ~1.09: <=9% error
-  static constexpr int kMinExp = -64;               // ~5.4e-20
-  static constexpr int kMaxExp = 64;                // ~1.8e19
+  static constexpr int kBucketsPerPow2 = 8;  // growth ~1.09: <=9% error
+  static constexpr int kMinExp = -64;        // ~5.4e-20
+  static constexpr int kMaxExp = 64;         // ~1.8e19
 
-  explicit LogBucketHistogram(const std::atomic<bool>* enabled,
-                              int buckets_per_pow2 = kDefaultBucketsPerPow2);
+  LogBucketHistogram();
 
   void Record(double value);
-  /// Adds `other`'s contents into this histogram; resolutions must match.
+  /// Adds `other`'s contents into this histogram.
   void MergeFrom(const LogBucketHistogram& other);
 
   HistogramSnapshot Snapshot() const;
-  int buckets_per_pow2() const { return bp2_; }
   std::int64_t Count() const { return count_.load(std::memory_order_acquire); }
 
   void ResetForTest();
@@ -199,13 +182,11 @@ class LogBucketHistogram {
   double UpperBound(int index) const;
   double LowerBound(int index) const;
 
-  int bp2_;
   std::vector<std::atomic<std::int64_t>> counts_;
   std::atomic<std::int64_t> count_{0};
   std::atomic<double> sum_{0.0};
   std::atomic<double> min_;
   std::atomic<double> max_;
-  const std::atomic<bool>* enabled_;
 };
 
 enum class MetricKind { kCounter, kGauge, kHistogram };
@@ -259,18 +240,9 @@ class MetricsRegistry {
                                   const std::string& help = "");
   Gauge& GetGauge(const std::string& name, const Labels& labels = {},
                   const std::string& help = "");
-  LogBucketHistogram& GetHistogram(
-      const std::string& name, const Labels& labels = {},
-      const std::string& help = "",
-      int buckets_per_pow2 = LogBucketHistogram::kDefaultBucketsPerPow2);
-
-  /// While disabled every recording call is a no-op; instruments keep their
-  /// prior values and Snapshot() keeps working.  (The reconciliation test's
-  /// "disabled mode records nothing" contract.)
-  void set_enabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_release);
-  }
-  bool enabled() const { return enabled_.load(std::memory_order_acquire); }
+  LogBucketHistogram& GetHistogram(const std::string& name,
+                                   const Labels& labels = {},
+                                   const std::string& help = "");
 
   RegistrySnapshot Snapshot() const;
 
@@ -300,7 +272,6 @@ class MetricsRegistry {
 
   mutable std::mutex mutex_;
   std::map<std::string, Family> families_;
-  std::atomic<bool> enabled_{true};
 };
 
 /// Sorts by key and serializes a label set into the registry's canonical

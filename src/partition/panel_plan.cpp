@@ -18,6 +18,9 @@ namespace {
 /// Search bound on the panel count per dimension.
 constexpr int kMaxPanelsPerDim = 256;
 
+/// Fraction of device memory a plan may use (PlanBudget).
+constexpr double kCapacityFraction = 0.9;
+
 std::int64_t Align(std::int64_t v) { return (v + 255) / 256 * 256; }
 
 /// Device bytes of a CSR panel with `rows` rows and `nnz` entries,
@@ -57,12 +60,13 @@ void SizeOutputChunks(const PanelBoundaries& row_bounds,
 /// per-panel nnz (ColPanelNnz, computed once per column candidate by the
 /// caller).  The chunk grid comes from `est` when given (EstimateChunks,
 /// O(rows + nr*nc): no O(nnz) walk per row-search probe, which is where
-/// the exact planner spends its time), else from AnalyzeChunks.
+/// the exact planner spends its time), else from AnalyzeChunks seeded with
+/// `row_nnz_estimate`.
 ChunkSizing SizeChunks(const sparse::Csr& a, const PanelBoundaries& row_bounds,
                        const sparse::Csr& b, const PanelBoundaries& col_bounds,
                        const std::vector<std::int64_t>& b_col_nnz,
                        const estimate::ProductEstimate* est,
-                       const std::vector<double>* row_nnz_estimate,
+                       const std::vector<double>& row_nnz_estimate,
                        double nnz_safety_factor) {
   ChunkSizing s;
   for (int rp = 0; rp < row_bounds.num_panels(); ++rp) {
@@ -78,7 +82,7 @@ ChunkSizing SizeChunks(const sparse::Csr& a, const PanelBoundaries& row_bounds,
                  ? EstimateChunks(row_bounds, col_bounds, est->row_nnz,
                                   est->row_products, b_col_nnz, b.nnz())
                  : AnalyzeChunks(a, row_bounds, b, col_bounds,
-                                 row_nnz_estimate);
+                                 &row_nnz_estimate);
   SizeOutputChunks(row_bounds, nnz_safety_factor, &s);
   return s;
 }
@@ -100,10 +104,9 @@ std::string PanelPlan::DebugString() const {
 
 bool PlanOptions::operator==(const PlanOptions&) const = default;
 
-std::int64_t PlanBudget(std::int64_t device_capacity,
-                        const PlanOptions& options) {
+std::int64_t PlanBudget(std::int64_t device_capacity) {
   return static_cast<std::int64_t>(static_cast<double>(device_capacity) *
-                                   options.capacity_fraction);
+                                   kCapacityFraction);
 }
 
 WorkspaceSizes WorkspaceFor(const std::vector<const PanelPlan*>& plans) {
@@ -136,30 +139,26 @@ StatusOr<PanelPlan> PlanPanels(
       PlanMadeFor(*options.prior, device_capacity, options)) {
     return *options.prior;
   }
-  if (options.buffers < 1 || options.capacity_fraction <= 0.0) {
+  if (options.buffers < 1) {
     return Status::InvalidArgument("bad plan options");
   }
   static obs::Counter& plans = obs::MetricsRegistry::Default().GetCounter(
       "oocgemm_partition_plans", {},
       "Panel plans searched by PlanPanels; a reused plan is not counted");
   plans.Add(1);
-  const std::int64_t budget = PlanBudget(device_capacity, options);
+  const std::int64_t budget = PlanBudget(device_capacity);
 
   // Sampled-symbolic row-nnz prediction (full output width; independent of
   // the panel boundaries, so computed once for the whole search).  The same
   // per-row weights drive the work-balanced row boundaries.  In estimate
   // mode the structure-only estimate replaces the exact walk.
-  std::vector<double> row_estimate;
-  const std::vector<double>* estimate_ptr = nullptr;
+  std::vector<double> sampled_row_nnz;
   if (options.use_sampling_estimator) {
     if (estimate == nullptr && options.prior != nullptr) {
       estimate = options.prior->estimate;
     }
     if (estimate == nullptr) {
       estimate::EstimatorOptions eopts;
-      if (options.nnz_sample_fraction > 0.0) {
-        eopts.row_sample_fraction = options.nnz_sample_fraction;
-      }
       eopts.seed = options.estimator_seed;
       estimate = std::make_shared<const estimate::ProductEstimate>(
           estimate::EstimateProduct(a, b, eopts));
@@ -167,20 +166,15 @@ StatusOr<PanelPlan> PlanPanels(
     if (estimate->row_nnz.size() != static_cast<std::size_t>(a.rows())) {
       return Status::InvalidArgument("the estimate is of another product");
     }
-    estimate_ptr = &estimate->row_nnz;
   } else {
     estimate = nullptr;
-    if (options.nnz_sample_fraction > 0.0) {
-      row_estimate =
-          sparse::EstimateRowNnz(a, b, options.nnz_sample_fraction).per_row;
-      estimate_ptr = &row_estimate;
-    }
+    sampled_row_nnz = sparse::EstimateRowNnz(a, b).per_row;
   }
+  const std::vector<double>& row_nnz_estimate =
+      estimate != nullptr ? estimate->row_nnz : sampled_row_nnz;
 
   auto row_bounds_for = [&](int nr) {
-    return estimate_ptr != nullptr
-               ? WeightBalancedBoundaries(*estimate_ptr, nr)
-               : UniformBoundaries(a.rows(), nr);
+    return WeightBalancedBoundaries(row_nnz_estimate, nr);
   };
 
   // Row panels are preferred: they shrink the A panel, the scratch and the
@@ -211,7 +205,7 @@ StatusOr<PanelPlan> PlanPanels(
 
     auto fits = [&](int nr, ChunkSizing* out_sizing) {
       ChunkSizing s = SizeChunks(a, row_bounds_for(nr), b, cb, b_col_nnz,
-                                 estimate.get(), estimate_ptr,
+                                 estimate.get(), row_nnz_estimate,
                                  options.nnz_safety_factor);
       // Panel cache: two slots per matrix so uploads can double-buffer.
       const bool fit =

@@ -24,19 +24,12 @@ namespace oocgemm::partition {
 struct PanelPlan;
 
 struct PlanOptions {
-  /// Fraction of device memory the plan may use (headroom for allocator
-  /// alignment and the baseline's transient mallocs).
-  double capacity_fraction = 0.9;
   /// Number of concurrently live chunk working sets (2 = double buffering).
   int buffers = 2;
   /// Output pools are sized `nnz_safety_factor` x the sampled-symbolic
   /// chunk-nnz estimate (capped by the worst-case bound).  Executors retry
   /// with a doubled factor if a chunk overflows its pool at run time.
   double nnz_safety_factor = 2.0;
-  /// Row fraction for the sampled symbolic estimator; <= 0 disables the
-  /// estimator and falls back to worst-case sizing (the configuration the
-  /// paper rejects; kept for the ablation bench).
-  double nnz_sample_fraction = 0.05;
   /// When > 0, skip the column search and use exactly this many uniform
   /// column panels.  Shared-operand batches force one common B split across
   /// every job so a cached B panel stays valid from job to job; the planner
@@ -89,10 +82,9 @@ struct PanelPlan {
   std::string DebugString() const;
 };
 
-/// Device bytes a plan may size buffers in: options.capacity_fraction of
-/// `device_capacity`.
-std::int64_t PlanBudget(std::int64_t device_capacity,
-                        const PlanOptions& options);
+/// Device bytes a plan may size buffers in: 90% of `device_capacity`
+/// (headroom for allocator alignment and the baseline's transient mallocs).
+std::int64_t PlanBudget(std::int64_t device_capacity);
 
 /// The buffers of one asynchronous-pipeline workspace: two chunk pools of
 /// `pool` bytes and the panel cache's two slots each of `a_panel` and

@@ -79,10 +79,7 @@ JobDemand EstimateJobDemand(const sparse::Csr& a, const sparse::Csr& b,
   d.bytes_a = a.StorageBytes();
   d.bytes_b = b.StorageBytes();
 
-  const double sample = exec.plan.nnz_sample_fraction > 0.0
-                            ? exec.plan.nnz_sample_fraction
-                            : 0.05;
-  sparse::RowNnzEstimate est = sparse::EstimateRowNnz(a, b, sample);
+  sparse::RowNnzEstimate est = sparse::EstimateRowNnz(a, b);
   d.est_nnz_out =
       std::accumulate(est.per_row.begin(), est.per_row.end(), 0.0);
   d.est_bytes_out = EstBytesOut(d.est_nnz_out, a.rows());

@@ -57,8 +57,7 @@ struct ServerConfig {
   /// per-job fallback to exact when the sample is unreliable) and plans the
   /// job from the same estimate.  Either way the job runs admission's plan.
   AdmissionMode admission_mode = AdmissionMode::kExact;
-  /// Sampling estimator configuration for kEstimate (seed, sample rate,
-  /// variance cutoff).
+  /// Sampling estimator configuration for kEstimate (seed, sample rate).
   estimate::EstimatorOptions estimator;
   /// Applied when a job's own timeout_seconds is 0.
   double default_timeout_seconds = 0.0;

@@ -107,19 +107,18 @@ TEST(CalibrateDifferential, UncalibratedModelKeepsStaticDecisions) {
 }
 
 TEST(CalibrateDifferential, BelowThresholdGateHoldsUnderRealTraffic) {
-  // Real traffic, but a min_samples gate the run cannot reach: decisions
+  // Real traffic, but one tick short of the kFitMinSamples gate: decisions
   // must stay static even though the fits have been ingesting samples.
   vgpu::Device d0(vgpu::ScaledV100Properties(15));
   core::DevicePool pool({&d0});
   CalibratorConfig config;
   config.mode = CalibrateMode::kApply;
-  config.fit.min_samples = 1000;
   CostModelCalibrator calibrator(config, &pool);
 
   ThreadPool tp;
   const Csr a = testutil::RandomRmat(7, 6.0, 55);
   core::ExecutorOptions opts;
-  for (int tick = 0; tick < 4; ++tick) {
+  for (int tick = 0; tick < kFitMinSamples - 1; ++tick) {
     ASSERT_TRUE(core::AsyncOutOfCore(d0, a, a, opts, tp).ok());
     calibrator.TickNow();
   }

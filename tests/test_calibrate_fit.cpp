@@ -80,10 +80,8 @@ TEST(CalibrateFit, LinearFitIsOrderInvariantWithinATick) {
 }
 
 TEST(CalibrateFit, ConfidenceGateHoldsUntilMinSamples) {
-  FitConfig config;
-  config.min_samples = 6;
-  LinearFit fit(config);
-  for (int i = 0; i < 5; ++i) {
+  LinearFit fit;
+  for (int i = 0; i < kFitMinSamples - 1; ++i) {
     fit.Add(1.0e6, 1.0e-3);
     fit.Commit();
     EXPECT_FALSE(fit.confident()) << "after " << i + 1 << " samples";
@@ -160,7 +158,7 @@ TEST(CalibrateFit, PersistentShiftEventuallyTracked) {
 TEST(CalibrateFit, OverheadRateFitSeparatesOverheadFromRate) {
   constexpr double kOverhead = 1.0e-5;   // seconds per launch
   constexpr double kRate = 1.0e9;        // flops per second
-  OverheadRateFit fit({}, /*static_overhead=*/5.0e-6);
+  OverheadRateFit fit(/*static_overhead=*/5.0e-6);
   Pcg32 rng(17);
   for (int tick = 0; tick < 12; ++tick) {
     // Varying flops-per-launch across samples keeps the normal equations
@@ -186,7 +184,7 @@ TEST(CalibrateFit, EffectiveRateChargesLaunchOverheadToThroughput) {
   // placement levers steer on.
   constexpr double kOverhead = 0.02;  // seconds per launch (a delay fault)
   constexpr double kRate = 1.0e9;
-  OverheadRateFit fit({}, /*static_overhead=*/5.0e-6);
+  OverheadRateFit fit(/*static_overhead=*/5.0e-6);
   Pcg32 rng(23);
   double total_flops = 0.0, total_seconds = 0.0;
   for (int tick = 0; tick < 12; ++tick) {
@@ -218,7 +216,7 @@ TEST(CalibrateFit, OverheadRateFitCollinearFallsBackToStaticOverhead) {
   // remainder as pure rate.
   constexpr double kStaticOverhead = 1.0e-5;
   constexpr double kRate = 2.0e9;
-  OverheadRateFit fit({}, kStaticOverhead);
+  OverheadRateFit fit(kStaticOverhead);
   for (int tick = 0; tick < 8; ++tick) {
     const double launches = 10.0;
     const double flops = 1.0e7;  // constant ratio across all samples
@@ -233,7 +231,7 @@ TEST(CalibrateFit, OverheadRateFitCollinearFallsBackToStaticOverhead) {
 
 TEST(CalibrateFit, OverheadRateFitIsOrderInvariantWithinATick) {
   Pcg32 rng(23);
-  OverheadRateFit forward({}, 8.0e-6), reversed({}, 8.0e-6);
+  OverheadRateFit forward(8.0e-6), reversed(8.0e-6);
   for (int tick = 0; tick < 6; ++tick) {
     std::vector<std::array<double, 3>> samples;
     for (int i = 0; i < 5; ++i) {

@@ -63,19 +63,6 @@ TEST(OomRetry, HopelesslySmallDeviceStillFailsCleanly) {
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
 }
 
-TEST(OomRetry, WorstCaseSizingNeverRetries) {
-  // With the estimator disabled (paper's rejected worst-case bound), pools
-  // can never overflow, so the first attempt must succeed.
-  Csr a = testutil::RandomRmat(8, 8.0, 5);
-  ExecutorOptions options;
-  options.plan.nnz_sample_fraction = 0.0;  // worst-case sizing
-  vgpu::Device device(vgpu::ScaledV100Properties(13));
-  ThreadPool pool(2);
-  auto r = AsyncOutOfCore(device, a, a, options, pool);
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(testutil::CsrNear(r->c, kernels::ReferenceSpgemm(a, a)));
-}
-
 // The helper under every executor and both scheduler paths: each retry
 // doubles the safety factor, the callee always sees a budget of one attempt
 // (so nested calls never multiply it), and attempts are counted.

@@ -42,7 +42,7 @@ double MeanNnzRelError(bool power_law, double rate, int num_seeds) {
 }
 
 TEST(EstimateAccuracy, ShortRowProductsAreExact) {
-  // Rows with <= max_draws_per_row nonzeros draw every column id, so the
+  // Rows with <= kMaxDrawsPerRow nonzeros draw every column id, so the
   // per-row product counts — and hence total_flops — are exact, not
   // estimates.  Erdos-Renyi at degree 4 keeps every row under the cap.
   const sparse::Csr a = testutil::RandomCsr(2048, 2048, 4.0, 42);
@@ -50,7 +50,7 @@ TEST(EstimateAccuracy, ShortRowProductsAreExact) {
   for (sparse::index_t i = 0; i < a.rows(); ++i) {
     max_row = std::max<std::int64_t>(max_row, a.row_nnz(i));
   }
-  ASSERT_LE(max_row, EstimatorOptions{}.max_draws_per_row);
+  ASSERT_LE(max_row, kMaxDrawsPerRow);
 
   const ProductEstimate est = EstimateProduct(a, a);
   EXPECT_DOUBLE_EQ(est.total_flops,
@@ -96,20 +96,20 @@ TEST(EstimateDeterminism, SameSeedGivesBitIdenticalEstimates) {
 }
 
 TEST(EstimateReliability, TinySampleIsUnreliable) {
-  // 64 rows at a 5% rate can never reach min_sample_rows: the estimate
+  // 64 rows at a 5% rate can never reach kMinSampleRows: the estimate
   // must say so instead of pretending confidence.
   const sparse::Csr a = testutil::RandomCsr(64, 64, 4.0, 3);
   const ProductEstimate est = EstimateProduct(a, a);
   EXPECT_FALSE(est.reliable);
-  EXPECT_LT(est.sampled_rows, EstimatorOptions{}.min_sample_rows);
+  EXPECT_LT(est.sampled_rows, kMinSampleRows);
 }
 
 TEST(EstimateReliability, LargeSampleIsReliable) {
   const sparse::Csr a = testutil::RandomRmat(11, 8.0, 5);
   const ProductEstimate est = EstimateProduct(a, a);
   EXPECT_TRUE(est.reliable);
-  EXPECT_GE(est.sampled_rows, EstimatorOptions{}.min_sample_rows);
-  EXPECT_LE(est.rel_stderr, EstimatorOptions{}.max_rel_stderr);
+  EXPECT_GE(est.sampled_rows, kMinSampleRows);
+  EXPECT_LE(est.rel_stderr, kMaxRelStderr);
   EXPECT_GT(est.compression_ratio, 0.0);
 }
 

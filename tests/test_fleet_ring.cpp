@@ -46,8 +46,8 @@ TEST(FleetRing, UniformKeySpreadChiSquare) {
     const double d = static_cast<double>(c) - expected;
     chi2 += d * d / expected;
   }
-  EXPECT_LT(chi2, 3.0 * kKeys * kShards /
-                      ring.vnodes_per_shard());
+  EXPECT_LT(chi2,
+            3.0 * kKeys * kShards / ConsistentHashRing::kVnodesPerShard);
   // And no shard's share is pathological: within [0.5x, 2x] of fair.
   for (int c : counts) {
     EXPECT_GT(c, expected * 0.5);

@@ -120,7 +120,6 @@ TEST(FleetRouter, HotOperandSpreadsOverReplicaSet) {
   FleetConfig config;
   config.shard.scheduler.num_workers = 2;
   config.replication.replication = 2;
-  config.replication.hot_threshold = 2.0;
   FleetRouter router(fleet.shards, pool, config);
 
   auto b = std::make_shared<const Csr>(testutil::RandomRmat(7, 6.0, 42));

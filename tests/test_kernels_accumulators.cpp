@@ -314,15 +314,5 @@ TEST(DenseAccumulator, ReserveGrowsMonotonically) {
   EXPECT_EQ(acc.size(), 1);
 }
 
-TEST(ChooseAccumulator, DenseForHeavyRows) {
-  EXPECT_EQ(ChooseAccumulator(/*row_flops=*/10000, /*panel_cols=*/256),
-            AccumulatorKind::kDense);
-}
-
-TEST(ChooseAccumulator, HashForSparseRows) {
-  EXPECT_EQ(ChooseAccumulator(/*row_flops=*/4, /*panel_cols=*/100000),
-            AccumulatorKind::kHash);
-}
-
 }  // namespace
 }  // namespace oocgemm::kernels

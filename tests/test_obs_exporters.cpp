@@ -25,8 +25,10 @@ std::string ReadFile(const std::string& path) {
 }
 
 // One registry exercising every exposition feature: a labelled counter
-// whose label value needs escaping, an unlabelled gauge, and a bp2=1
-// histogram whose power-of-two bucket bounds print as clean integers.
+// whose label value needs escaping, an unlabelled gauge, and a histogram
+// whose samples each sit in the top bucket below a power of two (bucket i
+// covers [2^(i/8), 2^((i+1)/8))), so their upper bounds print as clean
+// integers.
 MetricsRegistry& GoldenRegistry() {
   static MetricsRegistry* reg = [] {
     auto* r = new MetricsRegistry();
@@ -34,12 +36,11 @@ MetricsRegistry& GoldenRegistry() {
                   "Requests served")
         .Add(3);
     r->GetGauge("test_depth", {}, "Queue depth").Set(7);
-    LogBucketHistogram& h =
-        r->GetHistogram("test_latency", {}, "Latency", /*buckets_per_pow2=*/1);
-    h.Record(0.75);
-    h.Record(1.5);
-    h.Record(1.5);
-    h.Record(3.0);
+    LogBucketHistogram& h = r->GetHistogram("test_latency", {}, "Latency");
+    h.Record(0.9375);
+    h.Record(1.875);
+    h.Record(1.875);
+    h.Record(3.75);
     return r;
   }();
   return *reg;
@@ -56,7 +57,7 @@ TEST(MetricsExporters, PrometheusGolden) {
       "test_latency_bucket{le=\"2\"} 3\n"
       "test_latency_bucket{le=\"4\"} 4\n"
       "test_latency_bucket{le=\"+Inf\"} 4\n"
-      "test_latency_sum 6.75\n"
+      "test_latency_sum 8.4375\n"
       "test_latency_count 4\n"
       "# HELP test_requests_total Requests served\n"
       "# TYPE test_requests_total counter\n"
@@ -70,8 +71,8 @@ TEST(MetricsExporters, JsonGolden) {
       "{\"name\":\"test_depth\",\"kind\":\"gauge\",\"help\":\"Queue depth\","
       "\"points\":[{\"labels\":{},\"value\":7}]},"
       "{\"name\":\"test_latency\",\"kind\":\"histogram\",\"help\":\"Latency\","
-      "\"points\":[{\"labels\":{},\"count\":4,\"sum\":6.75,\"min\":0.75,"
-      "\"max\":3,\"p50\":2,\"p95\":3,\"p99\":3,"
+      "\"points\":[{\"labels\":{},\"count\":4,\"sum\":8.4375,\"min\":0.9375,"
+      "\"max\":3.75,\"p50\":2,\"p95\":3.75,\"p99\":3.75,"
       "\"buckets\":[{\"le\":1,\"count\":1},{\"le\":2,\"count\":2},"
       "{\"le\":4,\"count\":1}]}]},"
       "{\"name\":\"test_requests\",\"kind\":\"counter\","

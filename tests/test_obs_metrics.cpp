@@ -18,9 +18,6 @@
 namespace oocgemm::obs {
 namespace {
 
-// Standalone instruments still consult an enabled flag; always-on here.
-std::atomic<bool> kOn{true};
-
 // Deterministic heavy- and light-tailed samples: the distributions the
 // histogram has to survive in production (latencies, chunk flop counts).
 std::vector<double> Lognormal(std::size_t n, double mu, double sigma,
@@ -57,9 +54,8 @@ std::vector<double> Pareto(std::size_t n, double xm, double alpha,
 // within one neighbouring order statistic of the histogram's bucket — for
 // the smooth samples used here that is well inside one extra bucket width
 // on each side.
-void ExpectQuantilesBracket(const std::vector<double>& samples,
-                            int buckets_per_pow2) {
-  LogBucketHistogram hist(&kOn, buckets_per_pow2);
+void ExpectQuantilesBracket(const std::vector<double>& samples) {
+  LogBucketHistogram hist;
   for (double v : samples) hist.Record(v);
   const HistogramSnapshot snap = hist.Snapshot();
   ASSERT_EQ(snap.count, static_cast<std::int64_t>(samples.size()));
@@ -96,31 +92,27 @@ void ExpectQuantilesBracket(const std::vector<double>& samples,
 }
 
 TEST(MetricsHistogram, QuantilesBracketSummarizeLognormal) {
-  ExpectQuantilesBracket(Lognormal(4000, 0.0, 1.0, 11),
-                         LogBucketHistogram::kDefaultBucketsPerPow2);
-  ExpectQuantilesBracket(Lognormal(4000, 2.5, 0.4, 12),
-                         LogBucketHistogram::kDefaultBucketsPerPow2);
-  ExpectQuantilesBracket(Lognormal(500, -3.0, 1.5, 13), 4);
+  ExpectQuantilesBracket(Lognormal(4000, 0.0, 1.0, 11));
+  ExpectQuantilesBracket(Lognormal(4000, 2.5, 0.4, 12));
+  ExpectQuantilesBracket(Lognormal(500, -3.0, 1.5, 13));
 }
 
 TEST(MetricsHistogram, QuantilesBracketSummarizePareto) {
-  ExpectQuantilesBracket(Pareto(4000, 1.0, 1.5, 21),
-                         LogBucketHistogram::kDefaultBucketsPerPow2);
-  ExpectQuantilesBracket(Pareto(4000, 0.01, 2.5, 22),
-                         LogBucketHistogram::kDefaultBucketsPerPow2);
-  ExpectQuantilesBracket(Pareto(800, 3.0, 1.1, 23), 16);
+  ExpectQuantilesBracket(Pareto(4000, 1.0, 1.5, 21));
+  ExpectQuantilesBracket(Pareto(4000, 0.01, 2.5, 22));
+  ExpectQuantilesBracket(Pareto(800, 3.0, 1.1, 23));
 }
 
 TEST(MetricsHistogram, MergeOfSplitSampleEqualsSingleHistogram) {
   const std::vector<double> samples = Pareto(3000, 0.5, 1.3, 31);
 
-  LogBucketHistogram whole(&kOn);
-  LogBucketHistogram left(&kOn), right(&kOn);
+  LogBucketHistogram whole;
+  LogBucketHistogram left, right;
   for (std::size_t i = 0; i < samples.size(); ++i) {
     whole.Record(samples[i]);
     (i % 3 == 0 ? left : right).Record(samples[i]);
   }
-  LogBucketHistogram merged(&kOn);
+  LogBucketHistogram merged;
   merged.MergeFrom(left);
   merged.MergeFrom(right);
 
@@ -142,7 +134,7 @@ TEST(MetricsHistogram, MergeOfSplitSampleEqualsSingleHistogram) {
 }
 
 TEST(MetricsHistogram, NonPositiveAndNanLandInUnderflowBucket) {
-  LogBucketHistogram hist(&kOn);
+  LogBucketHistogram hist;
   hist.Record(0.0);
   hist.Record(-4.5);
   hist.Record(std::nan(""));
@@ -156,7 +148,7 @@ TEST(MetricsHistogram, NonPositiveAndNanLandInUnderflowBucket) {
 }
 
 TEST(MetricsHistogram, EmptyQuantileIsZero) {
-  LogBucketHistogram hist(&kOn);
+  LogBucketHistogram hist;
   const HistogramSnapshot snap = hist.Snapshot();
   EXPECT_EQ(snap.count, 0);
   EXPECT_EQ(snap.Quantile(0.5), 0.0);
@@ -174,7 +166,7 @@ TEST(MetricsHistogram, EmptyQuantileIsZero) {
 TEST(MetricsHistogram, SingleSampleQuantileIsTheSample) {
   for (double v : {3.75, -2.5, 0.0}) {
     SCOPED_TRACE("sample=" + std::to_string(v));
-    LogBucketHistogram hist(&kOn);
+    LogBucketHistogram hist;
     hist.Record(v);
     const HistogramSnapshot snap = hist.Snapshot();
     ASSERT_EQ(snap.count, 1);
@@ -189,7 +181,7 @@ TEST(MetricsHistogram, SingleSampleQuantileIsTheSample) {
 // q outside [0, 1] clamps; q=0.0 reports the min bucket, q=1.0 the max
 // bucket, and NaN q returns {0, 0} instead of poisoning the rank index.
 TEST(MetricsHistogram, QuantileEdgeArgumentsAreWellDefined) {
-  LogBucketHistogram hist(&kOn);
+  LogBucketHistogram hist;
   for (double v : {1.0, 2.0, 4.0, 8.0, 16.0}) hist.Record(v);
   const HistogramSnapshot snap = hist.Snapshot();
 
@@ -238,22 +230,6 @@ TEST(MetricsRegistryApi, LabelOrderDoesNotSplitInstruments) {
   reg.GetCounter("unit_lbl", {{"b", "2"}, {"a", "1"}}).Add(1);
   EXPECT_DOUBLE_EQ(reg.Snapshot().Value("unit_lbl", {{"a", "1"}, {"b", "2"}}),
                    2.0);
-}
-
-TEST(MetricsRegistryApi, DisabledRegistryDropsWritesButKeepsValues) {
-  MetricsRegistry reg;
-  Counter& c = reg.GetCounter("unit_c");
-  LogBucketHistogram& h = reg.GetHistogram("unit_h");
-  c.Add(5);
-  h.Record(2.0);
-  reg.set_enabled(false);
-  c.Add(100);
-  h.Record(2.0);
-  reg.GetGauge("unit_g").Set(42);
-  reg.set_enabled(true);
-  EXPECT_EQ(c.Value(), 5);
-  EXPECT_EQ(h.Count(), 1);
-  EXPECT_DOUBLE_EQ(reg.Snapshot().Value("unit_g"), 0.0);
 }
 
 TEST(MetricsRegistryApi, ResetForTestZeroesInPlace) {

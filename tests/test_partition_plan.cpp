@@ -137,8 +137,7 @@ TEST(PlanPanels, PlannedBudgetRespected) {
   const std::int64_t reserved =
       2 * (plan->max_a_panel_bytes + plan->max_b_panel_bytes) +
       plan->pool_bytes * options.buffers;
-  EXPECT_LE(reserved,
-            static_cast<std::int64_t>(capacity * options.capacity_fraction));
+  EXPECT_LE(reserved, PlanBudget(capacity));
 }
 
 TEST(PlanPanels, BoundariesMatchCounts) {
